@@ -201,7 +201,7 @@ func BenchmarkAblationKdTreeSplit(b *testing.B) {
 				}
 				eng, err := NewEngine(gen, Config{
 					PartitionerKind:    KindKdTree,
-					PartitionerOptions: PartitionerOptions{MidpointSplit: mode.midpoint},
+					PartitionerOptions: partition.Options{MidpointSplit: mode.midpoint},
 					InitialNodes:       2,
 					NodeCapacity:       capacity,
 					Cost:               ScaledCostModel(),
@@ -267,7 +267,7 @@ func BenchmarkAblationVirtualNodes(b *testing.B) {
 				}
 				eng, err := NewEngine(gen, Config{
 					PartitionerKind:    KindConsistent,
-					PartitionerOptions: PartitionerOptions{VirtualNodes: replicas},
+					PartitionerOptions: partition.Options{VirtualNodes: replicas},
 					InitialNodes:       2,
 					NodeCapacity:       capacity,
 					Cost:               ScaledCostModel(),

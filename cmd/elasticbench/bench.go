@@ -59,10 +59,7 @@ func record(name string, r testing.BenchmarkResult) benchResult {
 
 // measureBench runs the ingest hot-path micro-benchmarks on the shared
 // MODIS-shaped fixture (internal/benchfixture — the exact workload the
-// go-test benchmarks run). Alongside the packed-key paths it measures the
-// string-keyed probe pattern the pre-ChunkKey code used (build
-// "Array:c0/c1/…" per lookup against a map[string]NodeID), so every
-// emitted file carries its own baseline comparison. PR 2 adds the batch
+// go-test benchmarks run). PR 2 adds the batch
 // ingest pipeline probes: the plan phase alone, end-to-end inserts on 4-
 // and 8-node clusters, and concurrent batches against the sharded catalog.
 // PR 3 adds the query-layer probes: both benchmark suites end to end with
@@ -93,15 +90,9 @@ func measureBench() (benchReport, error) {
 	for i, ch := range chunks {
 		refs[i] = ch.Ref()
 	}
-	stringOwner := make(map[string]partition.NodeID, len(chunks))
-	for _, ch := range chunks {
-		if n, ok := c.Owner(ch.Key()); ok {
-			stringOwner[ch.Ref().Key()] = n
-		}
-	}
 
 	report := benchReport{
-		Suite:     "ingest + query + elasticity hot path (PR 10: self-healing cluster)",
+		Suite:     "ingest + query + elasticity hot path (PR 12: one data path)",
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
@@ -122,14 +113,6 @@ func measureBench() (benchReport, error) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, ok := c.Owner(refs[i%len(refs)].Packed()); !ok {
-				b.Fatal("chunk lost")
-			}
-		}
-	})
-	add("owner_lookup_stringkey_baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := stringOwner[refs[i%len(refs)].Key()]; !ok {
 				b.Fatal("chunk lost")
 			}
 		}
@@ -215,17 +198,6 @@ func measureBench() (benchReport, error) {
 			cell := make(array.Coord, 0, 3)
 			for j := 0; j < big.Len(); j++ {
 				cell = big.CellInto(j, cell)
-				sum += cell[0] + cell[1]
-			}
-		}
-		_ = sum
-	})
-	add("cell_iter_alloc_baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		var sum int64
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < big.Len(); j++ {
-				cell := big.Cell(j)
 				sum += cell[0] + cell[1]
 			}
 		}

@@ -11,20 +11,39 @@
 //	elasticbench -json BENCH_PR2.json -compare BENCH_PR1.json
 //	                                 # …and print the per-benchmark delta
 //
-// Experiments: table1, fig4, fig5, fig6, fig7, fig8, table2, table3, cost.
+// Experiments: table1, fig4, fig5, fig6, fig7, fig8, table2, table3, cost,
+// queries. An unknown name is an error (exit status 2).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
+// experimentNames are the values -exp accepts besides "all".
+var experimentNames = []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "table3", "cost", "queries"}
+
+// parseExperiments turns the -exp value into a selection predicate,
+// rejecting names that are not experiments.
+func parseExperiments(spec string) (pick func(string) bool, err error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(spec, ",") {
+		name := strings.TrimSpace(strings.ToLower(e))
+		if name != "all" && !slices.Contains(experimentNames, name) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", name, strings.Join(experimentNames, ", "))
+		}
+		want[name] = true
+	}
+	return func(name string) bool { return want["all"] || want[name] }, nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: table1,fig4,fig5,fig6,fig7,fig8,table2,table3,cost,queries,all")
+	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experimentNames, ",")+",all")
 	quick := flag.Bool("quick", false, "use the scaled-down quick configuration")
 	jsonPath := flag.String("json", "", "write hot-path micro-benchmark results to this file as JSON and exit")
 	comparePath := flag.String("compare", "", "previously recorded BENCH_PR<N>.json to diff the micro-benchmarks against")
@@ -58,13 +77,11 @@ func main() {
 	if *quick {
 		cfg = experiments.Quick()
 	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
+	pick, err := parseExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "elasticbench:", err)
+		os.Exit(2)
 	}
-	all := want["all"]
-	pick := func(name string) bool { return all || want[name] }
-
 	if err := run(cfg, pick); err != nil {
 		fmt.Fprintln(os.Stderr, "elasticbench:", err)
 		os.Exit(1)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 
 	"repro/internal/array"
@@ -151,6 +152,23 @@ func (c *ownerCatalog) EachReplica(fn func(key array.ChunkKey, nodes []partition
 		}
 		s.mu.RUnlock()
 	}
+}
+
+// repEntry is one chunk's recorded secondary owners.
+type repEntry struct {
+	key   array.ChunkKey
+	nodes []partition.NodeID
+}
+
+// sortedReplicas snapshots every recorded secondary set, in canonical
+// chunk order.
+func (c *ownerCatalog) sortedReplicas() []repEntry {
+	var entries []repEntry
+	c.EachReplica(func(key array.ChunkKey, nodes []partition.NodeID) {
+		entries = append(entries, repEntry{key, append([]partition.NodeID(nil), nodes...)})
+	})
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key.Less(entries[j].key) })
+	return entries
 }
 
 // Len returns the number of catalogued chunks.

@@ -28,8 +28,8 @@ type PartitionerFactory func(initial []partition.NodeID) (partition.Partitioner,
 // Ingest runs as a plan → execute pipeline (see PlanInsert) and is safe for
 // concurrent use: any number of Insert/PlanInsert/ExecutePlan calls may run
 // in parallel, with the plan phase serialised over the partitioner table
-// and the execution phase writing per-destination-node in parallel against
-// the sharded catalog and the locked node stores. Administration
+// and the execution phases interleaving against the sharded catalog and
+// the locked node stores. Administration
 // (DefineArray, ReplicateArray, the rebalance pipeline PlanScaleOut /
 // PlanMigrate / ExecuteRebalance and its ScaleOut / Migrate wrappers,
 // Validate) is exclusive among itself and against ingest: it waits for
@@ -118,11 +118,10 @@ type Cluster struct {
 	repChunks []*array.Chunk
 	repKeys   map[array.ChunkKey]bool
 
-	// transport, when non-nil, is the node transport every inter-node
-	// data path routes through: ingest writes, rebalance receiver
-	// batches, replica copies, query-layer chunk pulls and holdings
-	// announcements. nil (the default) keeps the original fully
-	// in-process code paths, byte-for-byte.
+	// transport is the node transport every inter-node data path routes
+	// through: ingest writes, rebalance receiver batches, replica copies,
+	// query-layer chunk pulls and holdings announcements. Never nil: New
+	// installs a transport.Loopback when the configuration names none.
 	transport transport.Transport
 	// annMu guards announcements, the coordinator-side registry of each
 	// node's latest self-reported holdings (a leaf lock: announcements
@@ -193,13 +192,13 @@ type Config struct {
 	// TransferBackoff is the base delay between those attempts, doubling
 	// per retry (0 = default 500µs).
 	TransferBackoff time.Duration
-	// Transport, when non-nil, routes every inter-node data path —
-	// ingest writes, rebalance receiver batches, replica copies, query
-	// chunk pulls — through the given node transport (transport.Loopback
-	// for an in-process seam, transport.TCP for real sockets,
-	// transport.FaultTransport for chaos). Every node is served on it at
-	// construction; call Close when done. nil keeps the original
-	// in-process code paths with zero overhead.
+	// Transport is the node transport every inter-node data path — ingest
+	// writes, rebalance receiver batches, replica copies, query chunk
+	// pulls — is routed through: transport.TCP for real sockets,
+	// transport.FaultTransport for chaos. nil, the default, runs the
+	// cluster in process on a transport.Loopback (pointer hand-off, no
+	// encoding). Every node is served on it at construction; call Close
+	// when done.
 	Transport transport.Transport
 }
 
@@ -245,6 +244,10 @@ func New(cfg Config) (*Cluster, error) {
 	if backoff < 0 {
 		return nil, fmt.Errorf("cluster: transfer backoff must be >= 0, got %v", backoff)
 	}
+	tr := cfg.Transport
+	if tr == nil {
+		tr = transport.NewLoopback()
+	}
 	c := &Cluster{
 		cost:            cost,
 		nodes:           make(map[partition.NodeID]*Node),
@@ -256,7 +259,7 @@ func New(cfg Config) (*Cluster, error) {
 		transferRetries: retries,
 		transferBackoff: backoff,
 		repKeys:         make(map[array.ChunkKey]bool),
-		transport:       cfg.Transport,
+		transport:       tr,
 		announcements:   make(map[partition.NodeID]transport.Announcement),
 	}
 	c.parallelism.Store(int32(cfg.Parallelism))
@@ -279,7 +282,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.part = p
 	c.publishLiveNodes()
 	for _, id := range initial {
-		if err := c.serveNode(id); err != nil {
+		if err := c.transport.Serve(id, &nodeService{c: c, node: c.nodes[id]}); err != nil {
 			_ = c.Close()
 			return nil, err
 		}
@@ -442,6 +445,16 @@ func (c *Cluster) ReplicateArray(s *array.Schema, chunks []*array.Chunk) (Durati
 	return c.cost.NetTime(bytes * int64(len(c.order)-1)), nil
 }
 
+// replicatedBytes returns the payload of the fully replicated arrays —
+// what every healthy node holds a copy of. Caller holds admin exclusive.
+func (c *Cluster) replicatedBytes() int64 {
+	var total int64
+	for _, rep := range c.repChunks {
+		total += rep.SizeBytes()
+	}
+	return total
+}
+
 // --- scale-out -------------------------------------------------------------
 
 // ScaleOutResult reports what a cluster expansion did, including the
@@ -456,9 +469,9 @@ type ScaleOutResult struct {
 	// shipped (equal unless the replica set changed in between).
 	PredictedWireBytes int64
 	MeasuredWireBytes  int64
-	// FrameBytes is the transport-reported wire volume — framing and
-	// retries included, zero for a fully in-process cluster — and
-	// MeasuredDuration the execution's wall clock.
+	// FrameBytes is the transport-reported wire volume (see
+	// RebalanceResult.FrameBytes) and MeasuredDuration the execution's
+	// wall clock.
 	FrameBytes       int64
 	MeasuredDuration time.Duration
 }
@@ -466,11 +479,10 @@ type ScaleOutResult struct {
 // ScaleOut provisions k new nodes, lets the partitioner revise its table,
 // and executes the resulting migration — a thin wrapper over the
 // plan → execute pipeline (PlanScaleOut / ExecuteRebalance) run as one
-// administrative operation. Chunk payloads are serialized, shipped and
-// decoded for real — one batched codec round-trip per receiving node
-// stands in for the wire — and the reorganization charge is the paper's
-// Eq 7 quantity. Replicated arrays are copied to the new nodes as part of
-// the expansion.
+// administrative operation. Each receiving node's chunks cross the
+// cluster transport as one batch push, and the reorganization charge is
+// the paper's Eq 7 quantity. Replicated arrays are copied to the new nodes
+// as part of the expansion.
 func (c *Cluster) ScaleOut(k int) (ScaleOutResult, error) {
 	if k < 1 {
 		return ScaleOutResult{}, fmt.Errorf("cluster: ScaleOut(%d): need k >= 1", k)
@@ -577,15 +589,7 @@ func (c *Cluster) validateReplicas() error {
 	required := c.requiredSecondaries()
 	// Per-chunk secondary audit, in canonical order for deterministic
 	// error reporting.
-	type repEntry struct {
-		key   array.ChunkKey
-		nodes []partition.NodeID
-	}
-	var entries []repEntry
-	c.owner.EachReplica(func(key array.ChunkKey, nodes []partition.NodeID) {
-		entries = append(entries, repEntry{key, append([]partition.NodeID(nil), nodes...)})
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key.Less(entries[j].key) })
+	entries := c.owner.sortedReplicas()
 	assigned := make(map[partition.NodeID]int64) // per-node secondary bytes
 	counts := make(map[partition.NodeID]int)
 	withSec := make(map[array.ChunkKey]bool, len(entries))
@@ -595,7 +599,7 @@ func (c *Cluster) validateReplicas() error {
 		if !ok {
 			return fmt.Errorf("cluster: secondaries recorded for uncatalogued chunk %s", ref)
 		}
-		primary, _ := c.nodes[owner].get(ref)
+		primary, _ := c.nodes[owner].Chunk(ref)
 		if primary == nil {
 			return fmt.Errorf("cluster: replicated chunk %s missing from its primary node %d", ref, owner)
 		}
@@ -644,10 +648,7 @@ func (c *Cluster) validateReplicas() error {
 	}
 	// Per-node replica accounting: the full replicated-array set plus the
 	// assigned secondaries, and nothing else.
-	var repArrayBytes int64
-	for _, rep := range c.repChunks {
-		repArrayBytes += rep.SizeBytes()
-	}
+	repArrayBytes := c.replicatedBytes()
 	for _, id := range c.order {
 		node := c.nodes[id]
 		if node.Health() == NodeDown {

@@ -13,7 +13,7 @@
 // within the batch and against the catalog, batch placement through
 // partition.Placer.PlaceBatch, destination validation — and reserves the
 // batch's chunks in the catalog, returning an IngestPlan. ExecutePlan then
-// performs the writes, fanning out one goroutine per destination node, and
+// performs the writes, one batch pushed to each destination node, and
 // charges the paper's Eq 6 split (coordinator-local bytes at disk rate,
 // shipped bytes at network rate). A plan must be executed exactly once or
 // released with Discard; Insert runs both phases in one call. Any number
@@ -37,17 +37,28 @@
 // catalog, the source stores (a reserved-but-unstored ingest chunk
 // cannot be moved) and the schema registry, then grouped per receiving
 // node with the predicted wire volume and Eq 7 duration readable off the
-// plan. ExecuteRebalance ships each receiver's chunks as one batched
-// codec round-trip (array.EncodeChunkBatch, drained chunk-at-a-time with
-// array.ChunkBatchReader so a receiver's peak memory is the wire buffer
-// plus one decoded chunk), fanning receivers out in parallel for wide
-// plans, and is atomic: any store error rolls every chunk back to its
-// source and restores the catalog. A plan executes at most once or is
+// plan. ExecuteRebalance ships each receiver's chunks as one batch push,
+// fanning receivers out in parallel for wide plans, and is atomic: any
+// store or transport error rolls every chunk back to its source and
+// restores the catalog. A plan executes at most once or is
 // released with Discard; like ingest plans, rebalance plans are
 // epoch-stamped, so executing one stales outstanding ingest plans and any
 // concurrently planned rebalance. Validate names outstanding plans of
 // both kinds. ScaleOut and Migrate remain as thin plan+execute wrappers
 // run under one administrative critical section.
+//
+// # One data path, one rollback
+//
+// Every inter-node movement — ingest writes, rebalance receiver batches,
+// secondary copies, recovery fills, readmission repairs — is a push over
+// the cluster's transport.Transport, received by the destination node's
+// receiver-atomic transport.Handler (service.go). There is no second,
+// transport-free implementation: Config.Transport == nil means "in
+// process", which New spells transport.NewLoopback() — delivery by
+// pointer, nothing encoded — so Close ends any cluster. Atomicity has one
+// mechanism too: ExecutePlan, ExecuteRebalance (whichever producer planned
+// it) and RecoverNode log the inverse of each committed step on an undoLog
+// (undo.go) and unwind it newest-first on failure.
 //
 // # The placement change feed
 //

@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/array"
 	"repro/internal/partition"
-	"repro/internal/transport"
 )
 
 // Failure lifecycle: FailNode marks a node Down, RecoverNode readmits it.
@@ -43,17 +43,7 @@ func (c *Cluster) FailNode(id partition.NodeID) error {
 	if node.Health() == NodeDown {
 		return fmt.Errorf("cluster: FailNode(%d): node already down", id)
 	}
-	var events []PlacementEvent
-	if c.feedActive() {
-		for _, info := range node.ChunkInfos() {
-			events = append(events, PlacementEvent{
-				Kind: PlacementRemove,
-				Key:  info.Ref.Packed(),
-				Node: id,
-				Size: info.Size,
-			})
-		}
-	}
+	events := c.residentEvents(node, PlacementRemove)
 	node.setHealth(NodeDown)
 	c.downCount.Add(1)
 	// Stale any outstanding plan computed when the node was healthy: its
@@ -66,6 +56,21 @@ func (c *Cluster) FailNode(id partition.NodeID) error {
 	return nil
 }
 
+// residentEvents describes a node's resident primaries as placement feed
+// events of one kind — removals when it fails, adds when it returns. Nil
+// while the feed has no subscriber.
+func (c *Cluster) residentEvents(node *Node, kind PlacementEventKind) []PlacementEvent {
+	if !c.feedActive() {
+		return nil
+	}
+	infos := node.ChunkInfos()
+	events := make([]PlacementEvent, len(infos))
+	for i, info := range infos {
+		events[i] = PlacementEvent{Kind: kind, Key: info.Ref.Packed(), Node: node.ID, Size: info.Size}
+	}
+	return events
+}
+
 // RecoverNode readmits a Down node as an empty-handed rejoin: whatever the
 // returning node holds that the catalog no longer credits to it is
 // discarded (a chunk re-owned by PlanRecover while it was away), missing
@@ -76,6 +81,8 @@ func (c *Cluster) FailNode(id partition.NodeID) error {
 // PlanRecover demands a down node. The still-owned primaries the node
 // returns with are re-announced on the placement feed. The charge is the
 // network time of the replicated-array backfill plus the re-replication.
+// Readmission is atomic: when a re-replication push fails for good, every
+// step taken is undone and the node stays Down, so the call can be retried.
 func (c *Cluster) RecoverNode(id partition.NodeID) (Duration, error) {
 	c.admin.Lock()
 	defer c.admin.Unlock()
@@ -86,24 +93,36 @@ func (c *Cluster) RecoverNode(id partition.NodeID) (Duration, error) {
 	if node.Health() != NodeDown {
 		return 0, fmt.Errorf("cluster: RecoverNode(%d): node is not down", id)
 	}
+	var undo undoLog
 	// Drop primaries the catalog re-owned elsewhere while the node was away.
+	var stale []*array.Chunk
+	undo.push(func() {
+		for _, ch := range stale {
+			_ = node.put(ch)
+		}
+	})
 	for _, info := range node.ChunkInfos() {
 		owner, ok := c.owner.Get(info.Ref.Packed())
 		if ok && owner == id {
 			continue
 		}
-		if _, err := node.take(info.Ref); err != nil {
+		ch, err := node.take(info.Ref)
+		if err != nil {
+			undo.unwind()
 			return 0, fmt.Errorf("cluster: RecoverNode(%d): dropping stale chunk %s: %w", id, info.Ref, err)
 		}
+		stale = append(stale, ch)
 	}
 	// Drop replica payloads the node is no longer responsible for, and
 	// backfill the replicated arrays it missed.
+	var dropped, backfilled []*array.Chunk
 	for _, rep := range node.Replicas() {
 		key := rep.Key()
-		if c.repKeys[key] || containsNodeID(c.owner.Replicas(key), id) {
+		if c.repKeys[key] || slices.Contains(c.owner.Replicas(key), id) {
 			continue
 		}
 		node.takeReplica(key)
+		dropped = append(dropped, rep)
 	}
 	var backfill int64
 	for _, rep := range c.repChunks {
@@ -111,21 +130,22 @@ func (c *Cluster) RecoverNode(id partition.NodeID) (Duration, error) {
 			continue
 		}
 		node.putReplica(rep)
+		backfilled = append(backfilled, rep)
 		backfill += rep.SizeBytes()
 	}
-	var events []PlacementEvent
-	if c.feedActive() {
-		for _, info := range node.ChunkInfos() {
-			events = append(events, PlacementEvent{
-				Kind: PlacementAdd,
-				Key:  info.Ref.Packed(),
-				Node: id,
-				Size: info.Size,
-			})
-		}
-	}
+	events := c.residentEvents(node, PlacementAdd)
 	node.setHealth(NodeHealthy)
 	c.downCount.Add(-1)
+	undo.push(func() {
+		node.setHealth(NodeDown)
+		c.downCount.Add(1)
+		for _, rep := range backfilled {
+			node.takeReplica(rep.Key())
+		}
+		for _, rep := range dropped {
+			node.putReplica(rep)
+		}
+	})
 	// Restore the canonical replica spread now that the node is back.
 	// This repairs two deficits in one sorted pass: primaries the clamped
 	// degraded recovery left short of secondaries (requiredSecondaries
@@ -135,10 +155,9 @@ func (c *Cluster) RecoverNode(id partition.NodeID) (Duration, error) {
 	// rebalance. For each primary the canonical holder set is recomputed
 	// over the healthy nodes; missing copies are delivered, holders no
 	// longer canonical drop theirs, and the catalog takes the canonical
-	// set. Repairs already landed stand if a later copy fails — each is a
-	// strict improvement on its own.
+	// set.
 	if want := c.requiredSecondaries(); want > 0 {
-		healthy := c.healthyNodes()
+		healthy := c.HealthyNodes()
 		var refs []array.ChunkRef
 		c.owner.Each(func(key array.ChunkKey, _ partition.NodeID) {
 			refs = append(refs, key.Ref())
@@ -153,14 +172,15 @@ func (c *Cluster) RecoverNode(id partition.NodeID) (Duration, error) {
 			if !ok || c.nodes[owner].Health() == NodeDown {
 				continue
 			}
-			primary, _ := c.nodes[owner].get(ref)
+			primary, _ := c.nodes[owner].Chunk(ref)
 			if primary == nil {
 				continue // reserved by an outstanding ingest plan; nothing to copy yet
 			}
 			// held: recorded secondaries that actually hold a copy on a
 			// reachable node.
+			recorded := c.owner.Replicas(key)
 			var held []partition.NodeID
-			for _, h := range c.owner.Replicas(key) {
+			for _, h := range recorded {
 				if holder, ok := c.nodes[h]; ok && holder.Health() != NodeDown {
 					if _, ok := holder.Replica(ref); ok {
 						held = append(held, h)
@@ -168,59 +188,32 @@ func (c *Cluster) RecoverNode(id partition.NodeID) (Duration, error) {
 				}
 			}
 			canonical := partition.ReplicaNodes(key, owner, healthy, nil, want)
-			var fill []partition.NodeID
 			for _, n := range canonical {
-				if !containsNodeID(held, n) {
-					fill = append(fill, n)
+				if slices.Contains(held, n) {
+					continue
 				}
-			}
-			if len(fill) > 0 {
-				if err := c.deliverReplicaCopies(owner, fill, primary); err != nil {
-					// The readmission did not commit: put the node back
-					// Down so a retry of RecoverNode is well-formed. The
-					// stale-drop/backfill work above is idempotent and the
-					// per-chunk repairs already landed each stand on their
-					// own, so the retry resumes where this pass stopped.
-					node.setHealth(NodeDown)
-					c.downCount.Add(1)
+				if _, err := c.pushReplicas(owner, n, []*array.Chunk{primary}, &undo); err != nil {
+					undo.unwind()
 					return 0, fmt.Errorf("cluster: RecoverNode(%d): re-replicating %s: %w", id, ref, err)
 				}
-				backfill += primary.SizeBytes() * int64(len(fill))
+				backfill += primary.SizeBytes()
 			}
 			for _, h := range held {
-				if !containsNodeID(canonical, h) {
-					c.nodes[h].takeReplica(key)
+				if slices.Contains(canonical, h) {
+					continue
+				}
+				if rep, ok := c.nodes[h].takeReplica(key); ok {
+					undo.push(func() { c.nodes[h].putReplica(rep) })
 				}
 			}
 			c.owner.SetReplicas(key, canonical)
+			undo.push(func() { c.owner.SetReplicas(key, recorded) })
 		}
 	}
 	c.epoch.Add(1)
 	c.publishPlacement(events)
 	c.announceAll()
 	return c.cost.NetTime(backfill), nil
-}
-
-// deliverReplicaCopies lands one secondary copy of ch on each node in
-// dests, over the transport when one is configured, unwinding the copies
-// already delivered if a later one fails. The caller updates the catalog
-// only after every copy landed.
-func (c *Cluster) deliverReplicaCopies(from partition.NodeID, dests []partition.NodeID, ch *array.Chunk) error {
-	for i, d := range dests {
-		var err error
-		if c.transport != nil {
-			_, err = c.pushWithRetry(from, d, transport.KindReplica, []*array.Chunk{ch})
-		} else {
-			c.nodes[d].putReplica(ch)
-		}
-		if err != nil {
-			for _, u := range dests[:i] {
-				c.nodes[u].takeReplica(ch.Key())
-			}
-			return err
-		}
-	}
-	return nil
 }
 
 // MarkNodeSuspect records the failure detector's intermediate verdict: the
@@ -297,14 +290,9 @@ func (c *Cluster) NodeHealthOf(id partition.NodeID) (NodeHealth, bool) {
 }
 
 // HealthyNodes returns the IDs of nodes currently serving, ascending.
+// Snapshot semantics match Nodes(): safe against ingest, not against
+// concurrent topology or health administration.
 func (c *Cluster) HealthyNodes() []partition.NodeID {
-	return c.healthyNodes()
-}
-
-// healthyNodes returns the serving node IDs in ascending order. Snapshot
-// semantics match Nodes(): safe against ingest, not against concurrent
-// topology or health administration.
-func (c *Cluster) healthyNodes() []partition.NodeID {
 	out := make([]partition.NodeID, 0, len(c.order))
 	for _, id := range c.order {
 		if c.nodes[id].Health() == NodeDown {
@@ -320,7 +308,7 @@ func (c *Cluster) healthyNodes() []partition.NodeID {
 // asked for copies it cannot host on distinct healthy nodes.
 func (c *Cluster) requiredSecondaries() int {
 	want := c.replication
-	if healthy := len(c.healthyNodes()); want > healthy {
+	if healthy := len(c.HealthyNodes()); want > healthy {
 		want = healthy
 	}
 	return want - 1
@@ -360,13 +348,4 @@ func (c *Cluster) primariesOnDown() []array.ChunkRef {
 	})
 	sort.Slice(lost, func(i, j int) bool { return lost[i].Packed().Less(lost[j].Packed()) })
 	return lost
-}
-
-func containsNodeID(list []partition.NodeID, id partition.NodeID) bool {
-	for _, n := range list {
-		if n == id {
-			return true
-		}
-	}
-	return false
 }

@@ -176,6 +176,43 @@ func TestKillNodeDrill(t *testing.T) {
 	}
 }
 
+// TestClampedRecoveryThenReadmit: R=2 on two nodes. Failing one clamps
+// recovery to zero secondaries (Validate-clean while degraded); readmitting
+// the node must re-replicate on its own, because no later plan revisits
+// those primaries — PlanRecover demands a down node.
+func TestClampedRecoveryThenReadmit(t *testing.T) {
+	c := newReplicatedCluster(t, 2, 2)
+	if _, err := c.Insert(makeChunks(t, 8, 8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	victim := pickVictim(t, c)
+	if err := c.FailNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := c.PlanRecover(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Unrecoverable()) > 0 {
+		t.Fatalf("unexpected unrecoverable: %v", plan.Unrecoverable())
+	}
+	if _, err := c.ExecuteRebalance(plan); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("degraded-but-recovered cluster should validate: %v", err)
+	}
+	if _, err := c.RecoverNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("cluster fails Validate after readmit: %v", err)
+	}
+}
+
 func TestPlanRecoverReportsUnrecoverableAtR1(t *testing.T) {
 	c := newTestCluster(t, 3, consistentFactory) // replication factor 1
 	chunks := makeChunks(t, 20, 8, 13)

@@ -3,8 +3,6 @@ package cluster
 import (
 	"sync"
 	"time"
-
-	"repro/internal/transport"
 )
 
 // Heartbeats: every non-coordinator node periodically announces itself to
@@ -35,32 +33,16 @@ func (c *Cluster) publishLiveNodes() {
 // HeartbeatNow emits one heartbeat from every non-coordinator node to the
 // coordinator, best-effort, and reports how many were attempted. Lock-free:
 // safe to call on a tight timer concurrently with ingest, queries and
-// administration. No-op without a transport.
+// administration.
 func (c *Cluster) HeartbeatNow() int {
-	if c.transport == nil {
-		return 0
-	}
 	nodes, _ := c.liveNodes.Load().([]*Node)
 	if len(nodes) == 0 {
 		return 0
 	}
-	coord := nodes[0].ID
-	epoch := c.epoch.Load()
-	sent := 0
 	for _, node := range nodes[1:] {
-		_ = c.transport.Announce(node.ID, coord, transport.Announcement{
-			Node:         node.ID,
-			Health:       int32(node.Health()),
-			Chunks:       int64(node.NumChunks()),
-			Bytes:        node.Bytes(),
-			Replicas:     int64(node.NumReplicas()),
-			ReplicaBytes: node.ReplicaBytes(),
-			Epoch:        epoch,
-			Seq:          node.hbSeq.Add(1),
-		})
-		sent++
+		c.announce(node, nodes[0].ID)
 	}
-	return sent
+	return len(nodes) - 1
 }
 
 // StartHeartbeats emits heartbeats every interval until the returned stop

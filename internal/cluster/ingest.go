@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/array"
@@ -87,9 +85,13 @@ func (p *IngestPlan) Assignments() []partition.Assignment {
 // Discard releases an unexecuted plan's catalog reservations. Discarding
 // an executed (or already discarded) plan is a no-op.
 func (p *IngestPlan) Discard() {
-	if p == nil || !p.state.CompareAndSwap(planStatePlanned, planStateDiscarded) {
-		return
+	if p != nil && p.state.CompareAndSwap(planStatePlanned, planStateDiscarded) {
+		p.release()
 	}
+}
+
+// release drops the plan's catalog reservations and its outstanding count.
+func (p *IngestPlan) release() {
 	for _, ch := range p.chunks {
 		p.c.owner.Delete(ch.Key())
 	}
@@ -105,8 +107,8 @@ const (
 // Insert routes a batch of new chunks through the coordinator to their
 // partitioner-assigned homes as one plan → execute round, following the
 // paper's cost shape (Eq 6): the coordinator writes its local share at disk
-// rate δ and ships the rest over the network at rate t, with the
-// per-destination writes running in parallel. Chunks are placed in
+// rate δ and ships the rest over the network at rate t, one batch per
+// destination node. Chunks are placed in
 // canonical order so placement is deterministic regardless of batch order.
 // Inserting a chunk that already exists — or twice in one batch — is an
 // error (no-overwrite storage), detected in the plan phase before anything
@@ -126,17 +128,17 @@ func (c *Cluster) Insert(chunks []*array.Chunk) (Duration, error) {
 
 // PlanInsert validates and places a batch without storing anything: the
 // fallible half of ingest. The returned plan has reserved its chunks in
-// the catalog; pass it to ExecutePlan to make the writes (infallible in
-// memory, atomic-per-batch on I/O error) or Discard it to back out.
+// the catalog; pass it to ExecutePlan to make the writes (atomic per
+// batch on a store or transport error) or Discard it to back out.
 func (c *Cluster) PlanInsert(chunks []*array.Chunk) (*IngestPlan, error) {
 	c.admin.RLock()
 	defer c.admin.RUnlock()
 	return c.planInsert(chunks)
 }
 
-// ExecutePlan performs a plan's writes — one goroutine per destination
-// node for batches wide enough to pay for the fan-out — and returns the
-// simulated ingest duration. A plan executes at most once.
+// ExecutePlan performs a plan's writes — one batch pushed to each
+// destination node over the cluster transport — and returns the simulated
+// ingest duration. A plan executes at most once.
 func (c *Cluster) ExecutePlan(plan *IngestPlan) (Duration, error) {
 	c.admin.RLock()
 	defer c.admin.RUnlock()
@@ -229,7 +231,7 @@ func (c *Cluster) planInsert(chunks []*array.Chunk) (*IngestPlan, error) {
 	var healthy []partition.NodeID
 	repWant := 0
 	if degraded || c.replication > 1 {
-		healthy = c.healthyNodes()
+		healthy = c.HealthyNodes()
 	}
 	if c.replication > 1 {
 		repWant = c.replication
@@ -295,10 +297,6 @@ func (c *Cluster) planInsert(chunks []*array.Chunk) (*IngestPlan, error) {
 	return plan, nil
 }
 
-// parallelIngestThreshold is the batch size below which per-node fan-out
-// goroutines cost more than they save.
-const parallelIngestThreshold = 32
-
 // executePlan is the execution phase. Caller holds admin (shared).
 func (c *Cluster) executePlan(plan *IngestPlan) (Duration, error) {
 	if plan == nil {
@@ -317,31 +315,19 @@ func (c *Cluster) executePlan(plan *IngestPlan) (Duration, error) {
 	if !plan.state.CompareAndSwap(planStatePlanned, planStateExecuted) {
 		return 0, fmt.Errorf("cluster: ingest plan already executed or discarded")
 	}
-	if err := c.writePlan(plan); err != nil {
-		c.pendingPlans.Add(-1)
-		return 0, err
+	// One KindIngest push per destination, then one KindReplica push per
+	// secondary holder. Any persistent failure unwinds the destinations
+	// that committed and releases the catalog reservations, so a failed
+	// batch leaves the cluster exactly as it was.
+	var undo undoLog
+	err := c.writePlanTransport(plan, &undo)
+	if err == nil && plan.repDests != nil {
+		err = c.pushPlanReplicas(plan, &undo)
 	}
-	if plan.repDests != nil {
-		if c.transport != nil {
-			// Over a transport the secondary copies are fallible pushes;
-			// a persistent failure rolls the whole batch back — primaries,
-			// replicas and catalog — keeping ingest atomic.
-			if err := c.pushPlanReplicas(plan); err != nil {
-				c.rollbackWrites(plan, func(int) bool { return true })
-				c.pendingPlans.Add(-1)
-				return 0, err
-			}
-		} else {
-			// Secondary copies commit after the primary writes succeeded: a
-			// rolled-back batch leaves no replica state behind. In-memory
-			// replica placement is infallible, so the batch stays atomic.
-			for i, ch := range plan.chunks {
-				for _, r := range plan.repDests[i] {
-					c.nodes[r].putReplica(ch)
-				}
-				c.owner.SetReplicas(ch.Key(), plan.repDests[i])
-			}
-		}
+	if err != nil {
+		undo.unwind()
+		plan.release()
+		return 0, err
 	}
 	c.inserted.Add(int64(len(plan.chunks)))
 	c.pendingPlans.Add(-1)
@@ -358,81 +344,15 @@ func (c *Cluster) executePlan(plan *IngestPlan) (Duration, error) {
 	return c.cost.DiskTime(plan.localBytes) + c.cost.NetTime(plan.remoteBytes), nil
 }
 
-// writePlan stores the plan's chunks, fanning out one goroutine per
-// destination node when there is hardware parallelism and the batch is
-// wide enough to pay for it. On any store error it rolls the whole batch
-// back — stores and catalog — so a failed batch leaves the cluster exactly
-// as it was.
-func (c *Cluster) writePlan(plan *IngestPlan) error {
-	if c.transport != nil {
-		return c.writePlanTransport(plan)
-	}
-	if len(plan.destList) <= 1 || len(plan.chunks) < parallelIngestThreshold || runtime.GOMAXPROCS(0) == 1 {
-		for i, ch := range plan.chunks {
-			if err := c.nodes[plan.dests[i]].put(ch); err != nil {
-				c.rollbackWrites(plan, func(j int) bool { return j < i })
-				return err
-			}
-		}
-		return nil
-	}
-	// Each destination's goroutine scans the shared dests slice for its
-	// own indexes: no prebuilt per-node index lists, no cross-goroutine
-	// writes inside the loop (counts are published once, at the end).
-	errs := make([]error, len(plan.destList))
-	counts := make([]int, len(plan.destList))
-	var wg sync.WaitGroup
-	for gi, id := range plan.destList {
-		node := c.nodes[id]
-		wg.Add(1)
-		go func(gi int, id partition.NodeID) {
-			defer wg.Done()
-			done := 0
-			for i, dest := range plan.dests {
-				if dest != id {
-					continue
-				}
-				if err := node.put(plan.chunks[i]); err != nil {
-					errs[gi] = err
-					break
-				}
-				done++
-			}
-			counts[gi] = done
-		}(gi, id)
-	}
-	wg.Wait()
-	for gi := range errs {
-		if errs[gi] == nil {
-			continue
-		}
-		// Roll back every goroutine's written prefix and the batch's
-		// catalog reservations.
-		remaining := make(map[partition.NodeID]int, len(plan.destList))
-		for gj, id := range plan.destList {
-			remaining[id] = counts[gj]
-		}
-		c.rollbackWrites(plan, func(j int) bool {
-			if remaining[plan.dests[j]] > 0 {
-				remaining[plan.dests[j]]--
-				return true
-			}
-			return false
-		})
-		return errs[gi]
-	}
-	return nil
-}
-
-// writePlanTransport is writePlan's wire path: the coordinator streams one
-// KindIngest batch per destination node over the cluster transport, each
-// push retried against transient faults. Delivery is receiver-atomic, so a
-// failed destination contributed nothing; the destinations that did commit
-// are unwound, leaving the cluster exactly as it was.
-func (c *Cluster) writePlanTransport(plan *IngestPlan) error {
+// writePlanTransport stores the plan's primaries: the coordinator pushes
+// one KindIngest batch per destination node over the cluster transport,
+// each push retried against transient faults and, once delivered, logged
+// in undo. Delivery is receiver-atomic, so a failed destination
+// contributed nothing.
+func (c *Cluster) writePlanTransport(plan *IngestPlan, undo *undoLog) error {
 	coord := c.Coordinator()
 	batch := make([]*array.Chunk, 0, len(plan.chunks))
-	for di, id := range plan.destList {
+	for _, id := range plan.destList {
 		batch = batch[:0]
 		for i, dest := range plan.dests {
 			if dest == id {
@@ -440,24 +360,23 @@ func (c *Cluster) writePlanTransport(plan *IngestPlan) error {
 			}
 		}
 		if _, err := c.pushWithRetry(coord, id, transport.KindIngest, batch); err != nil {
-			// Unwind the destinations delivered before this one and drop
-			// the batch's catalog reservations.
-			deliveredTo := plan.destList[:di]
-			c.rollbackWrites(plan, func(j int) bool {
-				return slices.Contains(deliveredTo, plan.dests[j])
-			})
 			return fmt.Errorf("cluster: ingest batch for node %d: %w", id, err)
 		}
+		undo.push(func() {
+			for i, dest := range plan.dests {
+				if dest == id {
+					_, _ = c.nodes[id].take(plan.chunks[i].Ref())
+				}
+			}
+		})
 	}
 	return nil
 }
 
 // pushPlanReplicas ships an ingest plan's secondary copies as one
 // KindReplica batch per replica destination. The catalog's replica sets
-// commit only after every push lands; on a persistent failure the
-// already-delivered replica payloads are taken back and the error returned
-// for the caller's primary rollback.
-func (c *Cluster) pushPlanReplicas(plan *IngestPlan) error {
+// commit only after every push lands.
+func (c *Cluster) pushPlanReplicas(plan *IngestPlan, undo *undoLog) error {
 	coord := c.Coordinator()
 	byDest := make(map[partition.NodeID][]*array.Chunk)
 	var destOrder []partition.NodeID
@@ -469,13 +388,8 @@ func (c *Cluster) pushPlanReplicas(plan *IngestPlan) error {
 			byDest[r] = append(byDest[r], ch)
 		}
 	}
-	for di, id := range destOrder {
-		if _, err := c.pushWithRetry(coord, id, transport.KindReplica, byDest[id]); err != nil {
-			for _, prev := range destOrder[:di] {
-				for _, ch := range byDest[prev] {
-					c.nodes[prev].takeReplica(ch.Key())
-				}
-			}
+	for _, id := range destOrder {
+		if _, err := c.pushReplicas(coord, id, byDest[id], undo); err != nil {
 			return fmt.Errorf("cluster: replica batch for node %d: %w", id, err)
 		}
 	}
@@ -483,18 +397,4 @@ func (c *Cluster) pushPlanReplicas(plan *IngestPlan) error {
 		c.owner.SetReplicas(ch.Key(), plan.repDests[i])
 	}
 	return nil
-}
-
-// rollbackWrites takes back every plan chunk for which written reports
-// true (called in index order) and drops the whole batch's catalog
-// reservations.
-func (c *Cluster) rollbackWrites(plan *IngestPlan, written func(i int) bool) {
-	for i := range plan.chunks {
-		if written(i) {
-			_, _ = c.nodes[plan.dests[i]].take(plan.chunks[i].Ref())
-		}
-	}
-	for _, ch := range plan.chunks {
-		c.owner.Delete(ch.Key())
-	}
 }

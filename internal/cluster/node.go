@@ -116,12 +116,8 @@ func (n *Node) take(ref array.ChunkRef) (*array.Chunk, error) {
 	return c, nil
 }
 
-func (n *Node) get(ref array.ChunkRef) (*array.Chunk, bool) {
-	return n.store.Get(ref)
-}
-
 // Chunk returns the resident partitioned chunk with the given identity.
-func (n *Node) Chunk(ref array.ChunkRef) (*array.Chunk, bool) { return n.get(ref) }
+func (n *Node) Chunk(ref array.ChunkRef) (*array.Chunk, bool) { return n.store.Get(ref) }
 
 // Replica returns the resident replica chunk with the given identity —
 // a fully replicated array's copy or an assigned secondary of a primary.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,9 +70,8 @@ type RebalancePlan struct {
 	// measuredWire is the Eq 7 fold over the volumes actually shipped —
 	// equal to WireBytes() when the replica set did not change between
 	// planning and execution — frameBytes is what the transport reports
-	// crossed the wire (framing and retried attempts included, 0 for a
-	// transportless cluster), and measuredDur is the execution's wall
-	// clock.
+	// crossed the wire (see RebalanceResult.FrameBytes), and measuredDur is
+	// the execution's wall clock.
 	measuredWire int64
 	frameBytes   int64
 	measuredDur  time.Duration
@@ -95,9 +95,10 @@ type RebalanceResult struct {
 	// actually shipped — equal to PredictedWireBytes unless the replica
 	// set changed between planning and execution.
 	MeasuredWireBytes int64
-	// FrameBytes is the transport-reported volume that crossed the wire:
-	// codec framing, protocol headers and retried attempts included.
-	// Zero for a transportless (fully in-process) cluster.
+	// FrameBytes is the transport-reported volume that crossed the wire.
+	// Over TCP that is codec framing, protocol headers and retried
+	// attempts included; in process (the loopback transport) it is the
+	// payload bytes of every push — moves, replica copies and fills.
 	FrameBytes int64
 	// MeasuredDuration is the execution's wall-clock time — real seconds
 	// next to PredictedDuration's simulated seconds.
@@ -137,7 +138,7 @@ type recoverOp struct {
 }
 
 // receiverGroup is one receiving node's share of the plan: the indexes
-// into moves it receives, shipped as a single batched codec round-trip.
+// into moves it receives, shipped as a single batch push.
 type receiverGroup struct {
 	node  partition.NodeID
 	idx   []int
@@ -145,7 +146,7 @@ type receiverGroup struct {
 }
 
 // ReceiverBatch describes one receiving node's share of a rebalance plan —
-// the batch that crosses the wire to it in one codec round-trip.
+// the batch that crosses the transport to it in one push.
 type ReceiverBatch struct {
 	Node   partition.NodeID
 	Chunks int
@@ -184,7 +185,7 @@ func (p *RebalancePlan) Added() []partition.NodeID {
 }
 
 // Receivers returns the per-receiver batches in ascending node order: how
-// many chunks and bytes each receiving node gets in its one round-trip.
+// many chunks and bytes each receiving node gets in its one push.
 func (p *RebalancePlan) Receivers() []ReceiverBatch {
 	out := make([]ReceiverBatch, len(p.groups))
 	for i, g := range p.groups {
@@ -262,30 +263,28 @@ func (c *Cluster) PlanScaleOut(k int) (*RebalancePlan, error) {
 
 // planScaleOut is the scale-out plan phase. Caller holds admin exclusive.
 func (c *Cluster) planScaleOut(k int) (*RebalancePlan, error) {
+	// Until the partitioner accepts the new nodes, a failure unprovisions
+	// them and the cluster is unchanged.
 	var added []partition.NodeID
-	rollbackNodes := func() {
-		for _, id := range added {
-			delete(c.nodes, id)
-		}
-		c.nextID -= partition.NodeID(len(added))
-	}
+	var undo undoLog
 	for i := 0; i < k; i++ {
 		id := c.nextID
 		store, err := c.newStore(id)
 		if err != nil {
-			// Roll back the nodes added so far; the cluster is
-			// unchanged.
-			rollbackNodes()
+			undo.unwind()
 			return nil, err
 		}
 		c.nextID++
 		c.nodes[id] = newNode(id, c.nodeCapacity, store)
+		undo.push(func() {
+			delete(c.nodes, id)
+			c.nextID--
+		})
 		added = append(added, id)
 	}
 	moves, err := c.part.AddNodes(added, c)
 	if err != nil {
-		// Roll back the node additions; the cluster is unchanged.
-		rollbackNodes()
+		undo.unwind()
 		return nil, fmt.Errorf("cluster: partitioner rejected scale-out: %w", err)
 	}
 	c.order = append(c.order, added...)
@@ -300,7 +299,7 @@ func (c *Cluster) planScaleOut(k int) (*RebalancePlan, error) {
 	// stands (monotonic growth) but the migration is not attempted against
 	// unreachable endpoints.
 	for _, id := range added {
-		if err := c.serveNode(id); err != nil {
+		if err := c.transport.Serve(id, &nodeService{c: c, node: c.nodes[id]}); err != nil {
 			return nil, err
 		}
 	}
@@ -343,7 +342,7 @@ func (c *Cluster) PlanRecover(id partition.NodeID) (*RebalancePlan, error) {
 	if node.Health() != NodeDown {
 		return nil, fmt.Errorf("cluster: PlanRecover(%d): node is not down", id)
 	}
-	healthy := c.healthyNodes()
+	healthy := c.HealthyNodes()
 	want := c.requiredSecondaries()
 	plan := &RebalancePlan{c: c, epoch: c.epoch.Load()}
 
@@ -388,16 +387,7 @@ func (c *Cluster) PlanRecover(id partition.NodeID) (*RebalancePlan, error) {
 	// Chunks owned by healthy nodes but short of secondaries (a holder on
 	// this — or any — down node): re-replicate from the primary, keeping
 	// surviving holders in place.
-	type repEntry struct {
-		key   array.ChunkKey
-		nodes []partition.NodeID
-	}
-	var entries []repEntry
-	c.owner.EachReplica(func(key array.ChunkKey, nodes []partition.NodeID) {
-		entries = append(entries, repEntry{key, append([]partition.NodeID(nil), nodes...)})
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key.Less(entries[j].key) })
-	for _, e := range entries {
+	for _, e := range c.owner.sortedReplicas() {
 		owner, ok := c.owner.Get(e.key)
 		if !ok || owner == id || c.nodes[owner].Health() == NodeDown {
 			continue // handled by the promotion pass (this or another node's)
@@ -416,7 +406,7 @@ func (c *Cluster) PlanRecover(id partition.NodeID) (*RebalancePlan, error) {
 		if len(survivors) == len(e.nodes) && len(survivors) >= want {
 			continue // intact
 		}
-		primary, _ := c.nodes[owner].get(ref)
+		primary, _ := c.nodes[owner].Chunk(ref)
 		if primary == nil {
 			continue // reserved by an outstanding ingest plan; nothing to copy yet
 		}
@@ -437,89 +427,64 @@ func (c *Cluster) PlanRecover(id partition.NodeID) (*RebalancePlan, error) {
 			plan.repBytes += op.size
 		}
 	}
-	for _, b := range recv {
-		if b > plan.maxRecv {
-			plan.maxRecv = b
-		}
-	}
+	plan.maxRecv = busiest(recv)
 	c.pendingRebalances.Add(1)
 	return plan, nil
 }
 
-// executeRecoveries applies a plan's recovery ops: promote surviving
-// secondaries into primaries and ship re-replication fills (as
-// KindReplica pushes from the surviving host when the cluster has a
-// transport, frame bytes accumulated into *frames). On a store write or
-// persistent push failure every completed op is undone, keeping execution
-// atomic. Caller holds admin exclusive.
-func (c *Cluster) executeRecoveries(plan *RebalancePlan, frames *int64) error {
-	rollback := func(done int) {
-		for i := done - 1; i >= 0; i-- {
-			op := plan.recovers[i]
-			key := op.ref.Packed()
-			for _, f := range op.fill {
-				c.nodes[f].takeReplica(key)
-			}
-			c.owner.SetReplicas(key, op.oldReps)
-			if op.promote {
-				if ch, err := c.nodes[op.host].take(op.ref); err == nil {
-					c.nodes[op.host].putReplica(ch)
-				}
-				c.owner.Set(key, op.oldOwner)
-			}
-		}
+// busiest returns the largest single receiver's volume — Eq 7's floor on
+// the effective wire volume.
+func busiest(recv map[partition.NodeID]int64) int64 {
+	var most int64
+	for _, b := range recv {
+		most = max(most, b)
 	}
-	for i, op := range plan.recovers {
+	return most
+}
+
+// executeRecoveries applies a plan's recovery ops: promote surviving
+// secondaries into primaries and ship re-replication fills as KindReplica
+// pushes from the surviving host (frame bytes accumulated into *frames).
+// Each committed promotion, fill and catalog revision is logged in undo; a
+// store write or persistent push failure returns with the failed step
+// itself already undone. Caller holds admin exclusive.
+func (c *Cluster) executeRecoveries(plan *RebalancePlan, frames *int64, undo *undoLog) error {
+	for _, op := range plan.recovers {
 		key := op.ref.Packed()
 		host := c.nodes[op.host]
 		var payload *array.Chunk
 		if op.promote {
 			ch, ok := host.takeReplica(key)
 			if !ok {
-				rollback(i)
 				return fmt.Errorf("cluster: recovery of %s: surviving replica vanished from node %d", op.ref, op.host)
 			}
 			if err := c.putWithRetry(host, ch); err != nil {
 				host.putReplica(ch)
-				rollback(i)
 				return err
 			}
 			c.owner.Set(key, op.host)
+			undo.push(func() {
+				if ch, err := host.take(op.ref); err == nil {
+					host.putReplica(ch)
+				}
+				c.owner.Set(key, op.oldOwner)
+			})
 			payload = ch
 		} else {
-			payload, _ = host.get(op.ref)
+			payload, _ = host.Chunk(op.ref)
 			if payload == nil {
-				rollback(i)
 				return fmt.Errorf("cluster: re-replication of %s: primary vanished from node %d", op.ref, op.host)
 			}
 		}
-		if c.transport != nil {
-			for fi, f := range op.fill {
-				wire, err := c.pushWithRetry(op.host, f, transport.KindReplica, []*array.Chunk{payload})
-				*frames += wire
-				if err == nil {
-					continue
-				}
-				// Undo this op's delivered fills and its promotion, then
-				// the completed ops before it.
-				for _, prev := range op.fill[:fi] {
-					c.nodes[prev].takeReplica(key)
-				}
-				if op.promote {
-					if ch, terr := host.take(op.ref); terr == nil {
-						host.putReplica(ch)
-					}
-					c.owner.Set(key, op.oldOwner)
-				}
-				rollback(i)
+		for _, f := range op.fill {
+			wire, err := c.pushReplicas(op.host, f, []*array.Chunk{payload}, undo)
+			*frames += wire
+			if err != nil {
 				return fmt.Errorf("cluster: re-replication fill of %s onto node %d: %w", op.ref, f, err)
-			}
-		} else {
-			for _, f := range op.fill {
-				c.nodes[f].putReplica(payload)
 			}
 		}
 		c.owner.SetReplicas(key, op.reps)
+		undo.push(func() { c.owner.SetReplicas(key, op.oldReps) })
 	}
 	return nil
 }
@@ -534,20 +499,20 @@ func (c *Cluster) fixupMovedReplicas(plan *RebalancePlan, recvExtra map[partitio
 	if c.replication <= 1 || len(plan.moves) == 0 {
 		return
 	}
-	healthy := c.healthyNodes()
+	healthy := c.HealthyNodes()
 	want := c.requiredSecondaries()
 	for _, m := range plan.moves {
 		key := m.Ref.Packed()
 		old := c.owner.Replicas(key)
 		reps := partition.ReplicaNodes(key, m.To, healthy, nil, want)
 		for _, h := range old {
-			if !containsNodeID(reps, h) {
+			if !slices.Contains(reps, h) {
 				c.nodes[h].takeReplica(key)
 			}
 		}
-		ch, _ := c.nodes[m.To].get(m.Ref)
+		ch, _ := c.nodes[m.To].Chunk(m.Ref)
 		for _, h := range reps {
-			if containsNodeID(old, h) {
+			if slices.Contains(old, h) {
 				continue
 			}
 			c.nodes[h].putReplica(ch)
@@ -563,13 +528,22 @@ func (c *Cluster) fixupMovedReplicas(plan *RebalancePlan, recvExtra map[partitio
 // from c.transferBackoff. A fault that persists through every attempt is
 // returned for the caller's atomic rollback to handle.
 func (c *Cluster) putWithRetry(n *Node, ch *array.Chunk) error {
+	return c.withRetry(func() (bool, error) { return true, n.put(ch) })
+}
+
+// withRetry is the one transfer retry loop: it runs attempt up to
+// c.transferRetries times, backing off exponentially from
+// c.transferBackoff, until it succeeds or reports its failure not worth
+// retrying.
+func (c *Cluster) withRetry(attempt func() (retryable bool, err error)) error {
 	var err error
-	for attempt := 0; attempt < c.transferRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.transferBackoff << (attempt - 1))
+	for n := 0; n < c.transferRetries; n++ {
+		if n > 0 {
+			time.Sleep(c.transferBackoff << (n - 1))
 		}
-		if err = n.put(ch); err == nil {
-			return nil
+		var retryable bool
+		if retryable, err = attempt(); err == nil || !retryable {
+			break
 		}
 	}
 	return err
@@ -620,7 +594,7 @@ func (c *Cluster) buildRebalancePlan(moves []partition.Move, added []partition.N
 		// A catalogued chunk whose source store does not hold it is a
 		// reserved-but-unstored ingest reservation: moving it would ship
 		// a payload that does not exist yet.
-		if _, held := src.get(m.Ref); !held {
+		if _, held := src.Chunk(m.Ref); !held {
 			return nil, fmt.Errorf("cluster: plan moves chunk %s reserved by an outstanding ingest plan", m.Ref)
 		}
 		gi, ok := byNode[m.To]
@@ -646,30 +620,24 @@ func (c *Cluster) buildRebalancePlan(moves []partition.Move, added []partition.N
 		// Each new node pulls the replicated-array set (from the
 		// authoritative registry — node replica maps also hold R>=2
 		// secondaries, which new nodes do not pull).
-		var perNode int64
-		for _, rep := range c.repChunks {
-			perNode += rep.SizeBytes()
-		}
+		perNode := c.replicatedBytes()
 		plan.repBytes = perNode * int64(len(added))
 		for _, id := range added {
 			recv[id] += perNode
 		}
 	}
-	for _, b := range recv {
-		if b > plan.maxRecv {
-			plan.maxRecv = b
-		}
-	}
+	plan.maxRecv = busiest(recv)
 	c.pendingRebalances.Add(1)
 	return plan, nil
 }
 
 // ExecuteRebalance performs a plan's transfers — each receiver's chunks
-// encoded, shipped and decoded as one batched codec round-trip, receivers
-// in parallel for plans wide enough to pay for the fan-out — and returns
-// the simulated reorganization duration. A plan executes at most once,
-// and execution is atomic: on any store error every chunk is returned to
-// its source and the catalog is restored.
+// shipped as one batch push over the cluster transport, receivers in
+// parallel for plans wide enough to pay for the fan-out — and returns the
+// simulated reorganization duration. A plan executes at most once, and
+// execution is atomic: on any store or transport error that outlasts the
+// retry budget every chunk is returned to its source and the catalog is
+// restored.
 func (c *Cluster) ExecuteRebalance(plan *RebalancePlan) (Duration, error) {
 	c.admin.Lock()
 	defer c.admin.Unlock()
@@ -700,63 +668,38 @@ func (c *Cluster) executeRebalance(plan *RebalancePlan) (Duration, error) {
 		// (Ahead of execution on purpose — conservative on failure.)
 		c.epoch.Add(1)
 	}
-	// frames accumulates what the transport reports actually crossed the
-	// wire (0 throughout for a transportless cluster).
+	// frames accumulates what the transport reports crossed the wire.
 	var frames int64
+	// Every committed step below logs its inverse; fail unwinds them all,
+	// so a failed rebalance leaves the cluster exactly as it was.
+	var undo undoLog
+	fail := func(err error) (Duration, error) {
+		undo.unwind()
+		c.pendingRebalances.Add(-1)
+		return 0, err
+	}
 	// Replicated arrays must exist on nodes provisioned by the plan
 	// (copied from the authoritative registry, not a node's replica map,
 	// which also holds R>=2 secondaries the new nodes must not inherit).
-	// Shipped before the moves: the copies touch only the empty new nodes'
-	// replica maps, so a later shipment failure can unwind them without
-	// disturbing anything committed.
 	recvExtra := make(map[partition.NodeID]int64)
 	var repBytes int64
-	undoAddedCopies := func() {
-		for _, id := range plan.added {
-			for _, rep := range c.repChunks {
-				c.nodes[id].takeReplica(rep.Key())
-			}
-		}
-	}
 	if len(plan.added) > 0 && len(c.repChunks) > 0 {
-		if c.transport != nil {
-			coord := c.Coordinator()
-			for ai, id := range plan.added {
-				wire, err := c.pushWithRetry(coord, id, transport.KindReplica, c.repChunks)
-				frames += wire
-				if err != nil {
-					for _, prev := range plan.added[:ai] {
-						for _, rep := range c.repChunks {
-							c.nodes[prev].takeReplica(rep.Key())
-						}
-					}
-					c.pendingRebalances.Add(-1)
-					return 0, fmt.Errorf("cluster: replicated-array copy to node %d: %w", id, err)
-				}
+		coord, perNode := c.Coordinator(), c.replicatedBytes()
+		for _, id := range plan.added {
+			wire, err := c.pushReplicas(coord, id, c.repChunks, &undo)
+			frames += wire
+			if err != nil {
+				return fail(fmt.Errorf("cluster: replicated-array copy to node %d: %w", id, err))
 			}
-		} else {
-			for _, rep := range c.repChunks {
-				for _, id := range plan.added {
-					c.nodes[id].putReplica(rep)
-				}
-			}
-		}
-		for _, rep := range c.repChunks {
-			for _, id := range plan.added {
-				recvExtra[id] += rep.SizeBytes()
-			}
-			repBytes += rep.SizeBytes() * int64(len(plan.added))
+			recvExtra[id] += perNode
+			repBytes += perNode
 		}
 	}
-	if err := c.shipReceiverBatches(plan, &frames); err != nil {
-		undoAddedCopies()
-		c.pendingRebalances.Add(-1)
-		return 0, err
+	if err := c.shipReceiverBatches(plan, &frames, &undo); err != nil {
+		return fail(err)
 	}
-	if err := c.executeRecoveries(plan, &frames); err != nil {
-		undoAddedCopies()
-		c.pendingRebalances.Add(-1)
-		return 0, err
+	if err := c.executeRecoveries(plan, &frames, &undo); err != nil {
+		return fail(err)
 	}
 	// Re-replication fills shipped by the recovery ops above.
 	for _, op := range plan.recovers {
@@ -799,12 +742,7 @@ func (c *Cluster) executeRebalance(plan *RebalancePlan) (Duration, error) {
 	for id, extra := range recvExtra {
 		recv[id] += extra
 	}
-	var maxRecv int64
-	for _, b := range recv {
-		if b > maxRecv {
-			maxRecv = b
-		}
-	}
+	maxRecv := busiest(recv)
 	// Measured outcome: the same Eq 7 fold the charge below uses (so the
 	// measured wire bytes equal WireBytes() whenever the replica set held),
 	// the transport's frame count, and the wall clock.
@@ -819,29 +757,34 @@ func (c *Cluster) executeRebalance(plan *RebalancePlan) (Duration, error) {
 // per-receiver fan-out goroutines cost more than they save.
 const parallelRebalanceThreshold = 8
 
-// shipReceiverBatches moves every group's chunks: take from the sources,
-// one batched encode, one batched decode at the receiver, put and
-// recatalog. Groups ship in parallel when the plan is wide enough, and
-// receiver store writes retry transient faults (putWithRetry) before the
-// fault is treated as permanent. With a cluster transport the batch
-// travels as one streaming KindRebalance push instead — receiver-atomic,
-// retried whole against transient wire faults (pushWithRetry), with the
-// frame bytes that crossed the wire accumulated into *frames. On any
-// persistent error the whole plan rolls back — every taken or delivered
-// chunk returns to its source and the catalog is restored — so a failed
-// rebalance leaves the cluster exactly as it was.
-func (c *Cluster) shipReceiverBatches(plan *RebalancePlan, frames *int64) error {
+// shipReceiverBatches moves every group's chunks: take them from their
+// sources, ship them to the receiver as one streaming KindRebalance push —
+// receiver-atomic, retried whole against transient wire faults
+// (pushWithRetry), the receiver's store writes retrying transient store
+// faults (putWithRetry) — and recatalog them. Groups ship in parallel when
+// the plan is wide enough, each logging its inverses privately; the logs
+// are merged into undo after the barrier, so on any persistent error the
+// caller's unwind returns every taken or delivered chunk to its source and
+// restores the catalog. Frame bytes that crossed the wire accumulate into
+// *frames.
+func (c *Cluster) shipReceiverBatches(plan *RebalancePlan, frames *int64, undo *undoLog) error {
 	type progress struct {
-		taken []*array.Chunk // originals taken from sources, prefix of group.idx
-		put   int            // decoded chunks delivered to the receiver
-		wire  int64          // transport frame bytes, failed attempts included
-		err   error
+		undo undoLog
+		wire int64 // transport frame bytes, failed attempts included
+		err  error
 	}
 	progs := make([]progress, len(plan.groups))
+	coord := c.Coordinator()
 	ship := func(gi int) {
-		g := plan.groups[gi]
-		p := &progs[gi]
-		dst := c.nodes[g.node]
+		g, p := plan.groups[gi], &progs[gi]
+		// The originals taken so far go back to their sources: logged
+		// ahead of the loop so a take failing midway returns its prefix.
+		taken := make([]*array.Chunk, 0, len(g.idx))
+		p.undo.push(func() {
+			for k, ch := range taken {
+				_ = c.nodes[plan.moves[g.idx[k]].From].put(ch)
+			}
+		})
 		for _, i := range g.idx {
 			m := plan.moves[i]
 			ch, err := c.nodes[m.From].take(m.Ref)
@@ -849,59 +792,23 @@ func (c *Cluster) shipReceiverBatches(plan *RebalancePlan, frames *int64) error 
 				p.err = err
 				return
 			}
-			p.taken = append(p.taken, ch)
+			taken = append(taken, ch)
 		}
-		if c.transport != nil {
-			// One streaming push carries the whole batch; the receiver's
-			// Deliver stores chunk-at-a-time and unwinds on any fault, so
-			// success means every chunk landed and failure means none did.
-			wire, err := c.pushWithRetry(c.Coordinator(), g.node, transport.KindRebalance, p.taken)
-			p.wire = wire
-			if err != nil {
-				p.err = fmt.Errorf("cluster: batch for node %d: %w", g.node, err)
-				return
-			}
-			p.put = len(g.idx)
+		p.wire, p.err = c.pushWithRetry(coord, g.node, transport.KindRebalance, taken)
+		if p.err != nil {
+			p.err = fmt.Errorf("cluster: batch for node %d: %w", g.node, p.err)
+			return
+		}
+		for _, i := range g.idx {
+			c.owner.Set(plan.moves[i].Ref.Packed(), g.node)
+		}
+		p.undo.push(func() {
 			for _, i := range g.idx {
-				c.owner.Set(plan.moves[i].Ref.Packed(), g.node)
+				m := plan.moves[i]
+				_, _ = c.nodes[g.node].take(m.Ref)
+				c.owner.Set(m.Ref.Packed(), m.From)
 			}
-			return
-		}
-		// The batched codec round-trip stands in for the wire, exactly as
-		// the per-chunk trip did: real serialized bytes, one message per
-		// receiver. The receiver side streams — each chunk is decoded off
-		// the shared buffer and stored before the next materialises — so
-		// peak memory per receiver is the wire buffer plus one chunk, not
-		// the whole batch twice.
-		wire, err := array.EncodeChunkBatch(p.taken)
-		if err != nil {
-			p.err = err
-			return
-		}
-		dec, err := array.NewChunkBatchReader(func(name string) (*array.Schema, bool) {
-			s, ok := c.schemas[name]
-			return s, ok
-		}, wire)
-		if err != nil || dec.Len() != len(g.idx) {
-			if err == nil {
-				err = fmt.Errorf("batch carries %d chunks, plan shipped %d", dec.Len(), len(g.idx))
-			}
-			p.err = fmt.Errorf("cluster: batch for node %d corrupted in transit: %w", g.node, err)
-			return
-		}
-		for k := range g.idx {
-			ch, err := dec.Next()
-			if err != nil {
-				p.err = fmt.Errorf("cluster: batch for node %d corrupted in transit: %w", g.node, err)
-				return
-			}
-			if err := c.putWithRetry(dst, ch); err != nil {
-				p.err = err
-				return
-			}
-			p.put = k + 1
-			c.owner.Set(plan.moves[g.idx[k]].Ref.Packed(), g.node)
-		}
+		})
 	}
 	if len(plan.groups) <= 1 || len(plan.moves) < parallelRebalanceThreshold || runtime.GOMAXPROCS(0) == 1 {
 		for gi := range plan.groups {
@@ -924,28 +831,13 @@ func (c *Cluster) shipReceiverBatches(plan *RebalancePlan, frames *int64) error 
 		}
 		wg.Wait()
 	}
+	var err error
 	for gi := range progs {
-		if progs[gi].err == nil {
-			continue
-		}
-		// Roll the whole plan back: remove delivered copies, restore the
-		// catalog, return the originals to their sources.
-		for gj := range plan.groups {
-			g, p := plan.groups[gj], &progs[gj]
-			for k := 0; k < p.put; k++ {
-				m := plan.moves[g.idx[k]]
-				_, _ = c.nodes[g.node].take(m.Ref)
-				c.owner.Set(m.Ref.Packed(), m.From)
-			}
-			for k, ch := range p.taken {
-				m := plan.moves[g.idx[k]]
-				_ = c.nodes[m.From].put(ch)
-			}
-		}
-		return progs[gi].err
-	}
-	for gi := range progs {
+		*undo = append(*undo, progs[gi].undo...)
 		*frames += progs[gi].wire
+		if err == nil {
+			err = progs[gi].err
+		}
 	}
-	return nil
+	return err
 }

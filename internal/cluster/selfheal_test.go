@@ -35,11 +35,6 @@ func TestHeartbeatNow(t *testing.T) {
 			t.Errorf("node %d seq did not advance: %d then %d", id, first[id], a.Seq)
 		}
 	}
-
-	plain := newReplicatedCluster(t, 3, 2)
-	if sent := plain.HeartbeatNow(); sent != 0 {
-		t.Fatalf("transportless HeartbeatNow sent %d, want 0", sent)
-	}
 }
 
 // TestHeartbeatSeqSurvivesTopologyChange: the lock-free node snapshot is

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/array"
 	"repro/internal/partition"
@@ -22,16 +21,18 @@ type nodeService struct {
 
 // Deliver implements transport.Handler. Ingest and rebalance batches go to
 // the partitioned store (rebalance writes absorb transient store faults via
-// putWithRetry, mirroring the in-process path); replica batches go to the
-// node's replica map. Chunks are consumed one at a time off the stream, so
-// a socket-backed delivery holds O(one chunk) beyond the receiver's ring.
+// putWithRetry); replica batches go to the node's replica map. Chunks are
+// consumed one at a time off the stream, so a socket-backed delivery holds
+// O(one chunk) beyond the receiver's ring.
 func (s *nodeService) Deliver(from partition.NodeID, kind transport.BatchKind, n int, next func() (*array.Chunk, error)) error {
 	switch kind {
 	case transport.KindIngest, transport.KindRebalance:
-		delivered := make([]array.ChunkRef, 0, n)
+		// The stored prefix is tracked by pointer (a ChunkRef is five
+		// times the size); refs are derived only to unwind a torn batch.
+		delivered := make([]*array.Chunk, 0, n)
 		unwind := func() {
-			for _, ref := range delivered {
-				_, _ = s.node.take(ref)
+			for _, ch := range delivered {
+				_, _ = s.node.take(ch.Ref())
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -49,7 +50,7 @@ func (s *nodeService) Deliver(from partition.NodeID, kind transport.BatchKind, n
 				unwind()
 				return err
 			}
-			delivered = append(delivered, ch.Ref())
+			delivered = append(delivered, ch)
 		}
 		return nil
 	case transport.KindReplica:
@@ -75,7 +76,7 @@ func (s *nodeService) Deliver(from partition.NodeID, kind transport.BatchKind, n
 // Fetch implements transport.Handler: the primary store first, the replica
 // map second — the same serving order the query layer's failover uses.
 func (s *nodeService) Fetch(ref array.ChunkRef) (*array.Chunk, error) {
-	if ch, ok := s.node.get(ref); ok {
+	if ch, ok := s.node.Chunk(ref); ok {
 		return ch, nil
 	}
 	if ch, ok := s.node.Replica(ref); ok {
@@ -97,25 +98,16 @@ func (s *nodeService) Schema(name string) (*array.Schema, bool) {
 	return s.c.Schema(name)
 }
 
-// serveNode registers a node's endpoint with the cluster transport.
-// No-op without one.
-func (c *Cluster) serveNode(id partition.NodeID) error {
-	if c.transport == nil {
-		return nil
-	}
-	return c.transport.Serve(id, &nodeService{c: c, node: c.nodes[id]})
-}
-
-// Transport returns the cluster's node transport, nil when the cluster
-// runs fully in-process with no transport seam.
+// Transport returns the cluster's node transport — never nil: a cluster
+// configured without one runs on a transport.Loopback.
 func (c *Cluster) Transport() transport.Transport { return c.transport }
 
 // WireReads reports whether chunk reads between distinct nodes cross a
-// real wire — a transport is configured and it is remote (TCP). The query
-// layer gates its wire re-fetches on this: under the loopback transport or
-// no transport at all, cross-node reads stay pointer reads.
+// real wire — the transport is remote (TCP). The query layer gates its wire
+// re-fetches on this: in process (the loopback transport), cross-node reads
+// stay pointer reads.
 func (c *Cluster) WireReads() bool {
-	return c.transport != nil && c.transport.Remote()
+	return c.transport.Remote()
 }
 
 // FetchChunk pulls the named chunk from holder over the transport on
@@ -153,8 +145,7 @@ func (c *Cluster) SetAnnouncementSink(fn func(transport.Announcement)) {
 }
 
 // Announcements returns the latest holdings announcement per node, as
-// received by the coordinator over the transport. Empty without a
-// transport (the in-process cluster reads state directly).
+// received by the coordinator over the transport.
 func (c *Cluster) Announcements() map[partition.NodeID]transport.Announcement {
 	c.annMu.Lock()
 	defer c.annMu.Unlock()
@@ -171,27 +162,27 @@ func (c *Cluster) Announcements() map[partition.NodeID]transport.Announcement {
 // announcement lost to an injected fault is advisory state, not catalog
 // truth, so errors are not propagated. Caller holds admin exclusive.
 func (c *Cluster) announceAll() {
-	if c.transport == nil {
-		return
-	}
 	coord := c.Coordinator()
-	epoch := c.epoch.Load()
-	for _, id := range c.order {
-		node := c.nodes[id]
-		if id == coord || node.Health() == NodeDown {
-			continue
+	for _, id := range c.order[1:] {
+		if node := c.nodes[id]; node.Health() != NodeDown {
+			c.announce(node, coord)
 		}
-		_ = c.transport.Announce(id, coord, transport.Announcement{
-			Node:         id,
-			Health:       int32(node.Health()),
-			Chunks:       int64(node.NumChunks()),
-			Bytes:        node.Bytes(),
-			Replicas:     int64(node.NumReplicas()),
-			ReplicaBytes: node.ReplicaBytes(),
-			Epoch:        epoch,
-			Seq:          node.hbSeq.Add(1),
-		})
 	}
+}
+
+// announce sends one node's current holdings, stamped with its next
+// heartbeat sequence number, to the coordinator. Lock-free and best-effort.
+func (c *Cluster) announce(node *Node, coord partition.NodeID) {
+	_ = c.transport.Announce(node.ID, coord, transport.Announcement{
+		Node:         node.ID,
+		Health:       int32(node.Health()),
+		Chunks:       int64(node.NumChunks()),
+		Bytes:        node.Bytes(),
+		Replicas:     int64(node.NumReplicas()),
+		ReplicaBytes: node.ReplicaBytes(),
+		Epoch:        c.epoch.Load(),
+		Seq:          node.hbSeq.Add(1),
+	})
 }
 
 // pushWithRetry ships one receiver's batch over the transport, absorbing
@@ -203,29 +194,17 @@ func (c *Cluster) announceAll() {
 // frame volume that actually crossed the wire, failed attempts included.
 func (c *Cluster) pushWithRetry(from, to partition.NodeID, kind transport.BatchKind, chunks []*array.Chunk) (int64, error) {
 	var wire int64
-	var err error
-	for attempt := 0; attempt < c.transferRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.transferBackoff << (attempt - 1))
-		}
-		var n int64
-		n, err = c.transport.PushChunks(from, to, kind, chunks)
+	err := c.withRetry(func() (bool, error) {
+		n, err := c.transport.PushChunks(from, to, kind, chunks)
 		wire += n
-		if err == nil {
-			return wire, nil
-		}
-		if !transport.IsTransient(err) {
-			return wire, err
-		}
-	}
+		return transport.IsTransient(err), err
+	})
 	return wire, err
 }
 
 // Close releases the cluster's transport endpoints (listeners, pooled
-// connections). A transportless cluster has nothing to release.
+// connections) and ends the cluster: every data path crosses the
+// transport, so a closed cluster — in process or not — accepts no writes.
 func (c *Cluster) Close() error {
-	if c.transport == nil {
-		return nil
-	}
 	return c.transport.Close()
 }

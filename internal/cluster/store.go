@@ -32,9 +32,9 @@ type ChunkStore interface {
 
 // MemStore is the default in-memory chunk store, keyed by the packed chunk
 // identity so lookups and inserts allocate nothing. A mutex guards the map
-// and the byte accounting: the ingest pipeline writes to a node's store
-// from per-destination goroutines, and concurrent batches may target the
-// same node. The zero value is not usable; construct with NewMemStore.
+// and the byte accounting: concurrent ingest batches and parallel rebalance
+// receivers may target the same node. The zero value is not usable;
+// construct with NewMemStore.
 type MemStore struct {
 	mu     sync.Mutex
 	chunks map[array.ChunkKey]*array.Chunk

@@ -14,8 +14,8 @@ import (
 )
 
 // newTransportCluster builds a cluster routing its data paths over the
-// given transport, with the test schema defined and Close hooked into
-// test cleanup.
+// given transport (nil: in process), with the test schema defined and
+// Close hooked into test cleanup.
 func newTransportCluster(t testing.TB, nodes, replication int, tr transport.Transport) *Cluster {
 	t.Helper()
 	c, err := New(Config{
@@ -35,11 +35,27 @@ func newTransportCluster(t testing.TB, nodes, replication int, tr transport.Tran
 	return c
 }
 
-// eachClusterBackend runs fn once per transport backend, plus the
-// transportless baseline when withNil is set.
-func eachClusterBackend(t *testing.T, fn func(t *testing.T, tr transport.Transport)) {
-	t.Run("loopback", func(t *testing.T) { fn(t, transport.NewLoopback()) })
-	t.Run("tcp", func(t *testing.T) { fn(t, transport.NewTCP(transport.TCPOptions{})) })
+// eachClusterBackend runs fn on a cluster over each of the two backends:
+// in process (the loopback transport New installs when Config.Transport is
+// nil) and TCP.
+func eachClusterBackend(t *testing.T, nodes, replication int, fn func(t *testing.T, c *Cluster)) {
+	t.Run("inprocess", func(t *testing.T) { fn(t, newTransportCluster(t, nodes, replication, nil)) })
+	t.Run("tcp", func(t *testing.T) {
+		fn(t, newTransportCluster(t, nodes, replication, transport.NewTCP(transport.TCPOptions{})))
+	})
+}
+
+// eachFaultBackend runs fn on a cluster whose transport is a FaultTransport
+// over each of the two backends.
+func eachFaultBackend(t *testing.T, nodes int, fn func(t *testing.T, c *Cluster, ft *transport.FaultTransport)) {
+	run := func(inner transport.Transport) func(*testing.T) {
+		return func(t *testing.T) {
+			ft := transport.NewFaultTransport(inner)
+			fn(t, newTransportCluster(t, nodes, 1, ft), ft)
+		}
+	}
+	t.Run("inprocess", run(transport.NewLoopback()))
+	t.Run("tcp", run(transport.NewTCP(transport.TCPOptions{})))
 }
 
 // makeChunksIn builds n chunks with `cells` occupied cells each, confined
@@ -120,17 +136,11 @@ func diffFingerprints(t *testing.T, want, got map[string]string) {
 }
 
 // TestClusterOverTransportMatchesInProcess drives the same insert →
-// scale-out → insert sequence through each transport backend and through
-// the transportless baseline, and demands byte-identical cluster state
-// and identical simulated charges.
+// scale-out → insert sequence in process and over TCP, and demands
+// byte-identical cluster state and identical simulated charges.
 func TestClusterOverTransportMatchesInProcess(t *testing.T) {
 	run := func(t *testing.T, tr transport.Transport) (map[string]string, Duration, Duration) {
-		var c *Cluster
-		if tr == nil {
-			c = newReplicatedCluster(t, 2, 2)
-		} else {
-			c = newTransportCluster(t, 2, 2, tr)
-		}
+		c := newTransportCluster(t, 2, 2, tr)
 		d1, err := c.Insert(makeChunksIn(t, 24, 8, 7, 0, 8))
 		if err != nil {
 			t.Fatal(err)
@@ -148,26 +158,23 @@ func TestClusterOverTransportMatchesInProcess(t *testing.T) {
 		return fingerprint(t, c), d1, res.Reorg
 	}
 	base, baseIns, baseReorg := run(t, nil)
-	eachClusterBackend(t, func(t *testing.T, tr transport.Transport) {
-		got, ins, reorg := run(t, tr)
-		diffFingerprints(t, base, got)
-		if ins != baseIns {
-			t.Errorf("insert charge %v, baseline %v", ins, baseIns)
-		}
-		if reorg != baseReorg {
-			t.Errorf("reorg charge %v, baseline %v", reorg, baseReorg)
-		}
-	})
+	got, ins, reorg := run(t, transport.NewTCP(transport.TCPOptions{}))
+	diffFingerprints(t, base, got)
+	if ins != baseIns {
+		t.Errorf("insert charge %v, baseline %v", ins, baseIns)
+	}
+	if reorg != baseReorg {
+		t.Errorf("reorg charge %v, baseline %v", reorg, baseReorg)
+	}
 }
 
 // TestScaleOutMeasuredWireMatchesPrediction checks the acceptance bar for
-// the measured-vs-predicted surface: a rebalance over a transport reports
-// MeasuredWireBytes equal to the plan's Eq 7 prediction, a wall-clock
-// duration, and (over TCP) a framing-included byte count at least the
-// payload volume.
+// the measured-vs-predicted surface: a rebalance reports MeasuredWireBytes
+// equal to the plan's Eq 7 prediction, a wall-clock duration, and a frame
+// byte count — exactly the payload volume in process, at least that over
+// TCP's framing.
 func TestScaleOutMeasuredWireMatchesPrediction(t *testing.T) {
-	eachClusterBackend(t, func(t *testing.T, tr transport.Transport) {
-		c := newTransportCluster(t, 2, 1, tr)
+	eachClusterBackend(t, 2, 1, func(t *testing.T, c *Cluster) {
 		if _, err := c.Insert(makeChunks(t, 30, 8, 3)); err != nil {
 			t.Fatal(err)
 		}
@@ -187,13 +194,13 @@ func TestScaleOutMeasuredWireMatchesPrediction(t *testing.T) {
 		if res.MeasuredDuration <= 0 {
 			t.Error("measured duration missing")
 		}
-		if tr.Remote() {
+		if c.Transport().Remote() {
 			if res.FrameBytes < res.MovedBytes {
 				t.Errorf("TCP frame bytes %d below payload volume %d", res.FrameBytes, res.MovedBytes)
 			}
 		} else if res.FrameBytes != res.MovedBytes {
 			// Loopback reports exactly the payload volume per push.
-			t.Errorf("loopback frame bytes %d, want moved bytes %d", res.FrameBytes, res.MovedBytes)
+			t.Errorf("in-process frame bytes %d, want moved bytes %d", res.FrameBytes, res.MovedBytes)
 		}
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
@@ -205,106 +212,105 @@ func TestScaleOutMeasuredWireMatchesPrediction(t *testing.T) {
 // connections ahead of rebalance pushes and expects the transfer retry
 // budget to absorb them with no effect on the outcome.
 func TestTransportRetryAbsorbsTransientFaults(t *testing.T) {
-	ft := transport.NewFaultTransport(transport.NewTCP(transport.TCPOptions{}))
-	c := newTransportCluster(t, 2, 1, ft)
-	if _, err := c.Insert(makeChunks(t, 30, 8, 3)); err != nil {
-		t.Fatal(err)
-	}
-	ft.FailNextPushes(2)
-	res, err := c.ScaleOut(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft.Injected() == 0 {
-		t.Fatal("fault transport injected nothing")
-	}
-	if res.MeasuredWireBytes != res.PredictedWireBytes {
-		t.Errorf("MeasuredWireBytes = %d, predicted %d", res.MeasuredWireBytes, res.PredictedWireBytes)
-	}
-	// Frame bytes include the bytes burned by the failed attempts.
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	eachFaultBackend(t, 2, func(t *testing.T, c *Cluster, ft *transport.FaultTransport) {
+		if _, err := c.Insert(makeChunks(t, 30, 8, 3)); err != nil {
+			t.Fatal(err)
+		}
+		ft.FailNextPushes(2)
+		res, err := c.ScaleOut(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ft.Injected() == 0 {
+			t.Fatal("fault transport injected nothing")
+		}
+		if res.MeasuredWireBytes != res.PredictedWireBytes {
+			t.Errorf("MeasuredWireBytes = %d, predicted %d", res.MeasuredWireBytes, res.PredictedWireBytes)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestTransportTruncationRetried arms torn streams — the receiver sees a
 // decode failure mid-batch, unwinds, and the sender's retry completes the
 // transfer.
 func TestTransportTruncationRetried(t *testing.T) {
-	ft := transport.NewFaultTransport(transport.NewTCP(transport.TCPOptions{}))
-	c := newTransportCluster(t, 2, 1, ft)
-	if _, err := c.Insert(makeChunks(t, 30, 8, 3)); err != nil {
-		t.Fatal(err)
-	}
-	ft.TruncateNextPushes(1)
-	if _, err := c.ScaleOut(2); err != nil {
-		t.Fatal(err)
-	}
-	if ft.Injected() != 1 {
-		t.Fatalf("injected = %d, want 1", ft.Injected())
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	eachFaultBackend(t, 2, func(t *testing.T, c *Cluster, ft *transport.FaultTransport) {
+		if _, err := c.Insert(makeChunks(t, 30, 8, 3)); err != nil {
+			t.Fatal(err)
+		}
+		ft.TruncateNextPushes(1)
+		if _, err := c.ScaleOut(2); err != nil {
+			t.Fatal(err)
+		}
+		if ft.Injected() != 1 {
+			t.Fatalf("injected = %d, want 1", ft.Injected())
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestRebalanceRollsBackOnPersistentTransportFault exhausts the retry
 // budget and expects the whole rebalance to roll back atomically, leaving
 // a valid cluster.
 func TestRebalanceRollsBackOnPersistentTransportFault(t *testing.T) {
-	ft := transport.NewFaultTransport(transport.NewTCP(transport.TCPOptions{}))
-	c := newTransportCluster(t, 2, 1, ft)
-	if _, err := c.Insert(makeChunks(t, 30, 8, 3)); err != nil {
-		t.Fatal(err)
-	}
-	before := fingerprint(t, c)
-	ft.FailNextPushes(1000)
-	_, err := c.ScaleOut(2)
-	if err == nil {
-		t.Fatal("scale-out should fail when every push drops")
-	}
-	if !errors.Is(err, transport.ErrInjected) {
-		t.Fatalf("error should wrap ErrInjected, got %v", err)
-	}
-	ft.FailNextPushes(0)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The provisioned nodes stand (monotonic growth), but no chunk moved.
-	diffFingerprints(t, before, fingerprint(t, c))
+	eachFaultBackend(t, 2, func(t *testing.T, c *Cluster, ft *transport.FaultTransport) {
+		if _, err := c.Insert(makeChunks(t, 30, 8, 3)); err != nil {
+			t.Fatal(err)
+		}
+		before := fingerprint(t, c)
+		ft.FailNextPushes(1000)
+		_, err := c.ScaleOut(2)
+		if err == nil {
+			t.Fatal("scale-out should fail when every push drops")
+		}
+		if !errors.Is(err, transport.ErrInjected) {
+			t.Fatalf("error should wrap ErrInjected, got %v", err)
+		}
+		ft.FailNextPushes(0)
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		// The provisioned nodes stand (monotonic growth), but no chunk moved.
+		diffFingerprints(t, before, fingerprint(t, c))
+	})
 }
 
 // TestIngestOverTransportRollsBack arms a persistent drop against ingest
 // pushes: ExecutePlan must fail and release the plan's reservations.
 func TestIngestOverTransportRollsBack(t *testing.T) {
-	ft := transport.NewFaultTransport(transport.NewTCP(transport.TCPOptions{}))
-	c := newTransportCluster(t, 3, 1, ft)
-	if _, err := c.Insert(makeChunksIn(t, 12, 8, 5, 0, 8)); err != nil {
-		t.Fatal(err)
-	}
-	before := fingerprint(t, c)
-	ft.FailNextPushes(1000)
-	_, err := c.Insert(makeChunksIn(t, 12, 8, 9, 8, 16))
-	if err == nil {
-		t.Fatal("insert should fail when every push drops")
-	}
-	ft.FailNextPushes(0)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	diffFingerprints(t, before, fingerprint(t, c))
-	// The failed batch's reservations are released: re-inserting works.
-	if _, err := c.Insert(makeChunksIn(t, 12, 8, 9, 8, 16)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	eachFaultBackend(t, 3, func(t *testing.T, c *Cluster, ft *transport.FaultTransport) {
+		if _, err := c.Insert(makeChunksIn(t, 12, 8, 5, 0, 8)); err != nil {
+			t.Fatal(err)
+		}
+		before := fingerprint(t, c)
+		ft.FailNextPushes(1000)
+		_, err := c.Insert(makeChunksIn(t, 12, 8, 9, 8, 16))
+		if err == nil {
+			t.Fatal("insert should fail when every push drops")
+		}
+		ft.FailNextPushes(0)
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		diffFingerprints(t, before, fingerprint(t, c))
+		// The failed batch's reservations are released: re-inserting works.
+		if _, err := c.Insert(makeChunksIn(t, 12, 8, 9, 8, 16)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestRecoveryDrillOverTransport runs the kill-a-node drill — fail,
-// recover from replicas, readmit — entirely over each backend and pins
-// the end state to the transportless baseline.
+// recover from replicas, readmit — in process and over TCP and pins the
+// TCP end state to the in-process one.
 func TestRecoveryDrillOverTransport(t *testing.T) {
 	drill := func(t *testing.T, c *Cluster) map[string]string {
 		if _, err := c.Insert(makeChunks(t, 24, 8, 7)); err != nil {
@@ -335,18 +341,14 @@ func TestRecoveryDrillOverTransport(t *testing.T) {
 		}
 		return fingerprint(t, c)
 	}
-	base := drill(t, newReplicatedCluster(t, 3, 2))
-	eachClusterBackend(t, func(t *testing.T, tr transport.Transport) {
-		diffFingerprints(t, base, drill(t, newTransportCluster(t, 3, 2, tr)))
-	})
+	base := drill(t, newTransportCluster(t, 3, 2, nil))
+	diffFingerprints(t, base, drill(t, newTransportCluster(t, 3, 2, transport.NewTCP(transport.TCPOptions{}))))
 }
 
-// TestAnnouncementsTrackHoldings checks that after transport-routed
-// administration the coordinator's announced view matches each node's
-// actual holdings.
+// TestAnnouncementsTrackHoldings checks that after administration the
+// coordinator's announced view matches each node's actual holdings.
 func TestAnnouncementsTrackHoldings(t *testing.T) {
-	eachClusterBackend(t, func(t *testing.T, tr transport.Transport) {
-		c := newTransportCluster(t, 2, 2, tr)
+	eachClusterBackend(t, 2, 2, func(t *testing.T, c *Cluster) {
 		if _, err := c.Insert(makeChunks(t, 24, 8, 7)); err != nil {
 			t.Fatal(err)
 		}
@@ -379,12 +381,41 @@ func TestAnnouncementsTrackHoldings(t *testing.T) {
 	})
 }
 
-// TestWireReadsGate pins the query-side gate: only a served remote
-// transport reports wire reads.
-func TestWireReadsGate(t *testing.T) {
-	if newTestCluster(t, 2, consistentFactory).WireReads() {
-		t.Error("transportless cluster must not report wire reads")
+// TestDefaultClusterRunsOnLoopback pins what Config.Transport == nil
+// means: the cluster is in process on a loopback transport it installed
+// itself, so the seam's whole surface — pointer reads, heartbeats,
+// announcements after a rebalance, supervision (see the supervisor
+// package's TestSupervisorAcceptsDefaultCluster) — works with no transport
+// configured.
+func TestDefaultClusterRunsOnLoopback(t *testing.T) {
+	c := newTestCluster(t, 3, consistentFactory)
+	if _, ok := c.Transport().(*transport.Loopback); !ok {
+		t.Fatalf("default cluster transport is %T, want *transport.Loopback", c.Transport())
 	}
+	if c.WireReads() {
+		t.Error("an in-process cluster must not report wire reads")
+	}
+	if sent, want := c.HeartbeatNow(), c.NumNodes()-1; sent != want {
+		t.Errorf("HeartbeatNow sent %d, want %d (every non-coordinator node)", sent, want)
+	}
+	if _, err := c.Insert(makeChunks(t, 24, 8, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ScaleOut(1); err != nil {
+		t.Fatal(err)
+	}
+	anns := c.Announcements()
+	for _, id := range c.Nodes()[1:] {
+		node, _ := c.Node(id)
+		if a, ok := anns[id]; !ok || a.Chunks != int64(node.NumChunks()) {
+			t.Errorf("node %d: announcement %+v (present %v), holds %d chunks", id, a, ok, node.NumChunks())
+		}
+	}
+}
+
+// TestWireReadsGate pins the query-side gate: only a remote transport
+// reports wire reads (the default cluster's answer is pinned above).
+func TestWireReadsGate(t *testing.T) {
 	if newTransportCluster(t, 2, 1, transport.NewLoopback()).WireReads() {
 		t.Error("loopback cluster must not report wire reads")
 	}

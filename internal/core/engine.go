@@ -61,17 +61,16 @@ type Config struct {
 	// O(what changed) instead of a per-call cluster walk. The arrays
 	// must be among the generator's schemas.
 	AdviseArrays []string
-	// Transport, when non-nil, routes inter-node data paths — ingest
-	// writes, rebalance batches, query-side chunk pulls — through the
-	// given node transport (cluster.Config.Transport): transport.Loopback
-	// for an in-process seam, transport.TCP for real sockets. Nil keeps
-	// the direct in-process paths.
+	// Transport is the node transport the inter-node data paths — ingest
+	// writes, rebalance batches, query-side chunk pulls — are routed
+	// through (cluster.Config.Transport): transport.TCP for real sockets;
+	// nil, the default, runs in process on a transport.Loopback.
 	Transport transport.Transport
 	// Supervise, when non-nil, attaches and starts a self-healing
 	// supervisor over the cluster: nodes heartbeat the coordinator, a
 	// failure detector turns silence into Suspect/Down verdicts, and the
 	// supervisor runs FailNode → PlanRecover → ExecuteRebalance (and
-	// RecoverNode on return) automatically. Requires Transport. The
+	// RecoverNode on return) automatically. The
 	// zero-value supervisor.Options{} selects all defaults.
 	Supervise *supervisor.Options
 }
@@ -183,8 +182,9 @@ func NewEngine(gen workload.Generator, cfg Config) (*Engine, error) {
 func (e *Engine) Cluster() *cluster.Cluster { return e.cluster }
 
 // Close stops the supervisor (when one was attached) and releases the
-// engine's cluster transport endpoints (listeners, pooled connections). A
-// transportless engine has nothing to release.
+// engine's cluster transport endpoints (listeners, pooled connections).
+// It ends the engine: every data path crosses the transport, so a closed
+// engine — in process or not — accepts no further writes.
 func (e *Engine) Close() error {
 	if e.sup != nil {
 		e.sup.Stop()

@@ -53,31 +53,6 @@ func TestBatchPlacementEqualsSequential(t *testing.T) {
 	}
 }
 
-// TestPlaceEachShimMatchesNative pins the migration shim: adapting a
-// per-chunk function with PlaceEach produces the same assignments as the
-// scheme's native batch path.
-func TestPlaceEachShimMatchesNative(t *testing.T) {
-	pNative := build(t, KindKdTree, []NodeID{0, 1, 2})
-	pShim := build(t, KindKdTree, []NodeID{0, 1, 2})
-	st := newFakeState(0, 1, 2)
-	infos := uniformChunks(64, 1<<12, 9)
-	native, err := pNative.PlaceBatch(infos, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shimmed := PlaceEach(infos, st, func(info array.ChunkInfo, s State) NodeID {
-		return placeOne(t, pShim, info, s)
-	})
-	if len(native) != len(shimmed) {
-		t.Fatalf("shim returned %d assignments, native %d", len(shimmed), len(native))
-	}
-	for i := range native {
-		if native[i].Node != shimmed[i].Node || native[i].Info.Ref.Key() != shimmed[i].Info.Ref.Key() {
-			t.Fatalf("assignment %d: native %+v, shim %+v", i, native[i], shimmed[i])
-		}
-	}
-}
-
 // TestPlaceBatchEmpty pins the degenerate batch: no chunks, no
 // assignments, no error, no table movement.
 func TestPlaceBatchEmpty(t *testing.T) {

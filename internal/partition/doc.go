@@ -28,9 +28,7 @@
 // Implementations must not retain the infos slice (the cluster reuses its
 // backing array across batches). The error return is for schemes that can
 // reject a batch outright; the eight in-repo schemes always place and
-// return nil. All eight implement PlaceBatch natively; external schemes
-// still written chunk-at-a-time can adapt with the PlaceEach shim until
-// they grow a native batch path.
+// return nil.
 //
 // Partitioners never touch chunk payloads: they see array.ChunkInfo
 // (identity, grid position, physical size) and a read-only State view of

@@ -86,20 +86,6 @@ type Placer interface {
 	PlaceBatch(infos []array.ChunkInfo, st State) ([]Assignment, error)
 }
 
-// PlaceFunc is the per-chunk placement signature of the pre-batch API.
-type PlaceFunc func(info array.ChunkInfo, st State) NodeID
-
-// PlaceEach adapts a per-chunk placement function to the batch contract —
-// the migration shim for external schemes still written chunk-at-a-time.
-// Every in-repo scheme implements PlaceBatch natively and does not use it.
-func PlaceEach(infos []array.ChunkInfo, st State, place PlaceFunc) []Assignment {
-	out := make([]Assignment, len(infos))
-	for i, info := range infos {
-		out[i] = Assignment{Info: info, Node: place(info, st)}
-	}
-	return out
-}
-
 // Partitioner is an elastic data-placement scheme.
 type Partitioner interface {
 	// Name returns the scheme's display name as used in the paper's

@@ -225,13 +225,10 @@ type Supervisor struct {
 }
 
 // New builds a supervisor over c, wiring the detector into the cluster's
-// announcement sink and watching every current non-coordinator node. The
-// cluster must have a transport (heartbeats ride Announce). The supervisor
-// takes the sink; one supervisor per cluster.
+// announcement sink and watching every current non-coordinator node
+// (heartbeats ride the cluster transport's Announce). The supervisor takes
+// the sink; one supervisor per cluster.
 func New(c *cluster.Cluster, opts Options) (*Supervisor, error) {
-	if c.Transport() == nil {
-		return nil, fmt.Errorf("supervisor: cluster has no transport; heartbeats need one")
-	}
 	o := opts.withDefaults()
 	det, err := detector.New(o.Detector)
 	if err != nil {

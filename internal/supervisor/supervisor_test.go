@@ -322,9 +322,12 @@ func TestGiveUpAfterMaxAttempts(t *testing.T) {
 	}
 }
 
-func TestSupervisorRequiresTransport(t *testing.T) {
+// TestSupervisorAcceptsDefaultCluster: a cluster configured with no
+// transport runs on a loopback one, which carries heartbeats like any
+// other — the supervisor attaches to it and sees every node beat.
+func TestSupervisorAcceptsDefaultCluster(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
-		InitialNodes: 2,
+		InitialNodes: 3,
 		NodeCapacity: 10 << 20,
 		Partitioner: func(initial []partition.NodeID) (partition.Partitioner, error) {
 			return partition.NewConsistentHash(initial, 64), nil
@@ -333,8 +336,22 @@ func TestSupervisorRequiresTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(c, Options{}); err == nil {
-		t.Fatal("supervisor over a transportless cluster must be rejected")
+	s, err := New(c, Options{})
+	if err != nil {
+		t.Fatalf("supervisor over a default (in-process) cluster: %v", err)
+	}
+	if sent := c.HeartbeatNow(); sent != 2 {
+		t.Fatalf("HeartbeatNow sent %d, want 2", sent)
+	}
+	s.Poll()
+	status := s.Detector().Status()
+	if len(status) != 2 {
+		t.Fatalf("detector watches %d nodes, want 2", len(status))
+	}
+	for _, st := range status {
+		if st.Beats != 1 || st.State != detector.Healthy {
+			t.Errorf("node %d: %d beat(s) accepted, state %v; want 1, healthy", st.Node, st.Beats, st.State)
+		}
 	}
 }
 

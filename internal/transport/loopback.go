@@ -10,12 +10,10 @@ import (
 	"repro/internal/partition"
 )
 
-// Loopback is the in-process backend: delivery is a direct handler call
-// and chunks cross as pointers, so a push costs exactly what the handler's
-// store writes cost — no encode, no copy. It exists so the cluster's
-// transport seam can be exercised (and fault-injected via FaultTransport)
-// at zero wire cost; a cluster with no transport at all short-circuits
-// even the seam.
+// Loopback is the in-process backend and the cluster's default: delivery
+// is a direct handler call and chunks cross as pointers, so a push costs
+// exactly what the handler's store writes cost — no encode, no copy. Wrap
+// it in a FaultTransport to fault-inject the in-process cluster.
 type Loopback struct {
 	mu       sync.RWMutex
 	handlers map[partition.NodeID]Handler

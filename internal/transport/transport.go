@@ -11,8 +11,9 @@
 //
 //   - Loopback: in-process delivery by reference. Chunks cross as
 //     pointers, nothing is encoded, and a push costs what the handler's
-//     store writes cost. This is the zero-overhead default shape: a
-//     cluster with no transport configured behaves identically.
+//     store writes cost. This is the default: a cluster configured with
+//     no transport runs on one, so the in-process cluster and the TCP
+//     cluster execute the same ingest, rebalance and recovery code.
 //   - TCP: every node is a goroutine-owned socket server and every verb is
 //     a length-prefixed wire exchange reusing the array package's "ABAT"
 //     batch framing as the payload protocol. Batches stream on both ends —
