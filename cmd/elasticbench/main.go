@@ -7,9 +7,6 @@
 //	elasticbench -exp all            # every table and figure (default)
 //	elasticbench -exp fig4,fig5      # a subset
 //	elasticbench -exp table3 -quick  # fast, scaled-down configuration
-//	elasticbench -json BENCH.json    # emit hot-path micro-benchmarks as JSON
-//	elasticbench -json BENCH_PR2.json -compare BENCH_PR1.json
-//	                                 # …and print the per-benchmark delta
 //
 // Experiments: table1, fig4, fig5, fig6, fig7, fig8, table2, table3, cost,
 // queries. An unknown name is an error (exit status 2).
@@ -45,33 +42,7 @@ func parseExperiments(spec string) (pick func(string) bool, err error) {
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experimentNames, ",")+",all")
 	quick := flag.Bool("quick", false, "use the scaled-down quick configuration")
-	jsonPath := flag.String("json", "", "write hot-path micro-benchmark results to this file as JSON and exit")
-	comparePath := flag.String("compare", "", "previously recorded BENCH_PR<N>.json to diff the micro-benchmarks against")
 	flag.Parse()
-
-	if *jsonPath != "" || *comparePath != "" {
-		report, err := measureBench()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "elasticbench:", err)
-			os.Exit(1)
-		}
-		if *jsonPath != "" {
-			if err := writeBenchJSON(*jsonPath, report); err != nil {
-				fmt.Fprintln(os.Stderr, "elasticbench:", err)
-				os.Exit(1)
-			}
-			fmt.Println("wrote", *jsonPath)
-		}
-		if *comparePath != "" {
-			baseline, err := readBenchJSON(*comparePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "elasticbench:", err)
-				os.Exit(1)
-			}
-			printComparison(os.Stdout, baseline, report, *comparePath)
-		}
-		return
-	}
 
 	cfg := experiments.Config{}
 	if *quick {

@@ -17,11 +17,11 @@ import (
 // explicit Refresh) builds the graph once under Cluster.Quiesce; from then
 // on every committed ingest patches new chunks in — halo and
 // congruent-join edges against the already-resident neighbourhood — and
-// every committed rebalance updates owners in place. Advise, Plan,
-// RemoteBytes and RemoteBytesAfter all run off the live graph whenever its
-// feed generation matches the cluster's; a full rebuild happens only on
-// first use or detected divergence. Rolled-back executions and discarded
-// plans publish nothing, so the live graph never sees phantom placements.
+// every committed rebalance updates owners in place. Advise runs off the
+// live graph whenever its feed generation matches the cluster's; a full
+// rebuild happens only on first use or detected divergence. Rolled-back
+// executions and discarded plans publish nothing, so the live graph never
+// sees phantom placements.
 //
 // Advise additionally memoises its last recommendation keyed by (feed
 // generation, topology epoch, maxMoves, slack): in steady state — no
@@ -162,8 +162,8 @@ func (l *Live) applyEvent(ev *cluster.PlacementEvent) bool {
 // Refresh brings the live graph up to date, rebuilding from scratch only
 // when it has never been built or has diverged; when the graph's feed
 // generation already matches the cluster's this is two atomic loads.
-// Advise/Plan/RemoteBytes call it implicitly; it is exported so a driver
-// can pay the cold build eagerly (e.g. right after workload setup).
+// Advise calls it implicitly; it is exported so a driver can pay the cold
+// build eagerly (e.g. right after workload setup).
 func (l *Live) Refresh() error {
 	// The feed stores a generation only after delivering its batch, so a
 	// graph at or ahead of PlacementGen has applied every committed
@@ -227,48 +227,12 @@ func (l *Live) Refresh() error {
 	return nil
 }
 
-// Generation returns the feed generation the live graph reflects.
-func (l *Live) Generation() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gen
-}
-
 // Rebuilds returns how many full BuildGraph fallbacks the advisor has
 // paid — 1 after warm-up; anything above counts detected divergences.
 func (l *Live) Rebuilds() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.rebuilds
-}
-
-// RemoteBytes sums the weights of co-access edges whose endpoints live on
-// different nodes, off the live graph.
-func (l *Live) RemoteBytes() (int64, error) {
-	if err := l.Refresh(); err != nil {
-		return 0, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.g.RemoteBytes(), nil
-}
-
-// RemoteBytesAfter predicts the remote co-access traffic once the given
-// moves have been applied, off the live graph.
-func (l *Live) RemoteBytesAfter(moves []partition.Move) (int64, error) {
-	if err := l.Refresh(); err != nil {
-		return 0, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.g.RemoteBytesAfter(moves), nil
-}
-
-// Plan proposes up to maxMoves migrations off the live graph — the
-// continuous counterpart of Graph.Plan, memoised like Advise.
-func (l *Live) Plan(maxMoves int, slack float64) ([]partition.Move, error) {
-	moves, _, _, err := l.plan(maxMoves, slack)
-	return moves, err
 }
 
 // plan returns the (memoised) recommendation: the move set plus the

@@ -119,15 +119,6 @@ func (c *Chunk) CellInto(i int, buf Coord) Coord {
 	return buf
 }
 
-// AppendIntCell adds a cell whose attribute values are all integer-family.
-// Provided as a fast path for generators; mixed-type cells use AppendCell.
-func (c *Chunk) AppendIntCell(cell Coord, vals []int64) {
-	c.appendCoords(cell)
-	for a, col := range c.AttrCols {
-		col.(*IntColumn).Append(vals[a])
-	}
-}
-
 // CellValue is one attribute value of a cell being appended.
 type CellValue struct {
 	Int   int64

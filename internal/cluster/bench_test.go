@@ -7,8 +7,55 @@ import (
 	"repro/internal/partition"
 )
 
+// loadedBenchCluster is a 4-node cluster holding n inserted bench chunks.
+func loadedBenchCluster(b *testing.B, n int) (*Cluster, []*array.Chunk) {
+	b.Helper()
+	c := newBenchCluster(b, 4)
+	chunks := makeBenchChunks(b, n, 20)
+	if _, err := c.Insert(chunks); err != nil {
+		b.Fatal(err)
+	}
+	return c, chunks
+}
+
+// BenchmarkOwnerLookup measures the placement hot path's core operation:
+// mapping a resident chunk to its owning node, as the catalog, queries and
+// validation do on every touch. Chunks carry their packed key, so this is
+// a single map probe.
+func BenchmarkOwnerLookup(b *testing.B) {
+	c, chunks := loadedBenchCluster(b, 120)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Owner(chunks[i%len(chunks)].Key()); !ok {
+			b.Fatal("chunk lost")
+		}
+	}
+}
+
+// BenchmarkOwnerLookupFromRef is the same lookup starting from a bare
+// ChunkRef (no cached key), paying the array-name intern on every call —
+// the partitioners' AddNodes path.
+func BenchmarkOwnerLookupFromRef(b *testing.B) {
+	c, chunks := loadedBenchCluster(b, 120)
+	refs := make([]array.ChunkRef, len(chunks))
+	for i, ch := range chunks {
+		refs[i] = ch.Ref()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Owner(refs[i%len(refs)].Packed()); !ok {
+			b.Fatal("chunk lost")
+		}
+	}
+}
+
+// BenchmarkInsertBatch measures end-to-end ingest of one batch of chunks
+// into a fresh cluster, plan and catalog updates included.
 func BenchmarkInsertBatch(b *testing.B) {
 	chunks := makeBenchChunks(b, 60, 20)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -36,10 +83,7 @@ func BenchmarkScaleOut(b *testing.B) {
 }
 
 func BenchmarkValidate(b *testing.B) {
-	c := newBenchCluster(b, 4)
-	if _, err := c.Insert(makeBenchChunks(b, 120, 20)); err != nil {
-		b.Fatal(err)
-	}
+	c, _ := loadedBenchCluster(b, 120)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Validate(); err != nil {

@@ -342,9 +342,6 @@ func (c *Cluster) Parallelism() int { return int(c.parallelism.Load()) }
 // the call.
 func (c *Cluster) SetParallelism(n int) { c.parallelism.Store(int32(n)) }
 
-// NodeCapacity returns the per-node capacity in bytes.
-func (c *Cluster) NodeCapacity() int64 { return c.nodeCapacity }
-
 // Capacity returns the total cluster capacity in bytes.
 func (c *Cluster) Capacity() int64 { return int64(len(c.order)) * c.nodeCapacity }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/array"
@@ -17,10 +16,10 @@ var ErrInjected = transport.ErrInjected
 
 // FaultStore wraps a ChunkStore with programmable write faults, the
 // fixture fault-tolerance tests and benchmarks share: fail the next N puts,
-// fail every put of one specific chunk N times (N < 0 = always), or fail
-// puts at a random rate. Reads are never injected — the cluster's recovery
-// machinery treats stores as write-fallible, read-reliable, matching the
-// transient-fault model the retry path targets.
+// or fail every put of one specific chunk N times (N < 0 = always). Reads
+// are never injected — the cluster's recovery machinery treats stores as
+// write-fallible, read-reliable, matching the transient-fault model the
+// retry path targets.
 //
 // All knobs are safe for concurrent use with the store itself; injected
 // errors wrap ErrInjected.
@@ -30,8 +29,6 @@ type FaultStore struct {
 	mu       sync.Mutex
 	nextN    int                    // fail the next n puts of any chunk
 	perKey   map[array.ChunkKey]int // remaining failures per chunk, -1 = always
-	rate     float64                // probability a put fails
-	rng      *rand.Rand             // rate source, seeded for reproducibility
 	injected int
 }
 
@@ -57,15 +54,6 @@ func (s *FaultStore) FailNextPuts(n int) {
 func (s *FaultStore) FailPuts(ref array.ChunkRef, n int) {
 	s.mu.Lock()
 	s.perKey[ref.Packed()] = n
-	s.mu.Unlock()
-}
-
-// SetErrorRate arms random put failures with the given probability,
-// deterministic for a given seed. Rate 0 disarms.
-func (s *FaultStore) SetErrorRate(rate float64, seed int64) {
-	s.mu.Lock()
-	s.rate = rate
-	s.rng = rand.New(rand.NewSource(seed))
 	s.mu.Unlock()
 }
 
@@ -99,9 +87,6 @@ func (s *FaultStore) inject(c *array.Chunk) error {
 			s.perKey[c.Key()] = n - 1
 			fail = true
 		}
-	}
-	if !fail && s.rate > 0 && s.rng.Float64() < s.rate {
-		fail = true
 	}
 	if !fail {
 		return nil

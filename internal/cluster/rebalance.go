@@ -173,11 +173,6 @@ func (p *RebalancePlan) Unrecoverable() []array.ChunkRef {
 // Bytes returns the total chunk payload the plan ships.
 func (p *RebalancePlan) Bytes() int64 { return p.totalBytes }
 
-// Moves returns the plan's relocations, for inspection and tests.
-func (p *RebalancePlan) Moves() []partition.Move {
-	return append([]partition.Move(nil), p.moves...)
-}
-
 // Added returns the nodes PlanScaleOut provisioned (empty for PlanMigrate
 // plans).
 func (p *RebalancePlan) Added() []partition.NodeID {

@@ -260,6 +260,3 @@ func (s *DiskStore) Bytes() int64 { return s.mem.Bytes() }
 
 // Len implements ChunkStore.
 func (s *DiskStore) Len() int { return s.mem.Len() }
-
-// Dir returns the store's directory.
-func (s *DiskStore) Dir() string { return s.dir }

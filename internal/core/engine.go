@@ -192,10 +192,6 @@ func (e *Engine) Close() error {
 	return e.cluster.Close()
 }
 
-// Supervisor returns the self-healing supervisor attached via
-// Config.Supervise, or nil when none was configured.
-func (e *Engine) Supervisor() *supervisor.Supervisor { return e.sup }
-
 // Advisor returns the continuous co-access advisor attached via
 // Config.AdviseArrays, or nil when none was configured. Its graph follows
 // every cycle's ingest and reorganization incrementally; call

@@ -22,7 +22,7 @@ func modisCluster(t *testing.T, replication int) (*cluster.Cluster, int) {
 
 // modisClusterOver is modisCluster with a node transport and a transfer
 // retry budget threaded through — nil/0 reproduce modisCluster exactly.
-func modisClusterOver(t *testing.T, replication int, tr transport.Transport, retries int) (*cluster.Cluster, int) {
+func modisClusterOver(t testing.TB, replication int, tr transport.Transport, retries int) (*cluster.Cluster, int) {
 	t.Helper()
 	gen, err := workload.NewMODIS(workload.MODISConfig{Cycles: 3, BaseCells: 12})
 	if err != nil {
@@ -64,7 +64,7 @@ func modisClusterOver(t *testing.T, replication int, tr transport.Transport, ret
 }
 
 // drillVictim picks a non-coordinator node owning chunks.
-func drillVictim(t *testing.T, c *cluster.Cluster) partition.NodeID {
+func drillVictim(t testing.TB, c *cluster.Cluster) partition.NodeID {
 	t.Helper()
 	for _, id := range c.Nodes() {
 		if id != c.Coordinator() && len(c.NodeChunks(id)) > 0 {

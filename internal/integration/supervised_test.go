@@ -27,15 +27,17 @@ func drillOptions() supervisor.Options {
 }
 
 // waitEvent blocks until the supervisor has logged at least n events of the
-// given kind, failing the test after the deadline.
-func waitEvent(t *testing.T, s *supervisor.Supervisor, kind supervisor.EventKind, n int, deadline time.Duration) {
+// given kind, failing the test after the deadline. It polls every
+// millisecond, so BenchmarkSupervisedFailover's timings are not rounded up
+// by much more than that.
+func waitEvent(t testing.TB, s *supervisor.Supervisor, kind supervisor.EventKind, n int, deadline time.Duration) {
 	t.Helper()
 	stop := time.Now().Add(deadline)
 	for time.Now().Before(stop) {
 		if s.EventCount(kind) >= n {
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("fewer than %d %v event(s) within %v; events: %v", n, kind, deadline, s.Events())
 }
@@ -118,6 +120,61 @@ func TestSupervisedKillANodeDrillOverTCP(t *testing.T) {
 	if n := sup.EventCount(supervisor.EventGaveUp); n != 0 {
 		t.Fatalf("supervisor gave up during the drill: %v", sup.Events())
 	}
+}
+
+// BenchmarkSupervisedFailover times the supervisor's unattended failover on
+// the MODIS drill cluster at R=2, with beat and detector thresholds scaled
+// down so one cycle takes tens of milliseconds:
+//   - detect_to_recover/loopback: links cut → EventRecovered in process,
+//     the detection and recovery machinery with no wire cost;
+//   - failover_readmit/tcp: the full cycle on real sockets, cut →
+//     recovered → heal → EventReadmitted.
+//
+// Cluster setup and teardown are outside the timed region.
+func BenchmarkSupervisedFailover(b *testing.B) {
+	opts := supervisor.Options{
+		HeartbeatInterval: 5 * time.Millisecond,
+		Detector: detector.Options{
+			SuspectAfter: 30 * time.Millisecond,
+			DownAfter:    60 * time.Millisecond,
+		},
+		Quarantine: 20 * time.Millisecond,
+	}
+	failover := func(b *testing.B, inner transport.Transport, readmit bool) {
+		b.StopTimer()
+		faults := transport.NewFaultTransport(inner)
+		c, _ := modisClusterOver(b, 2, faults, 0)
+		sup, err := supervisor.New(c, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sup.Start(); err != nil {
+			b.Fatal(err)
+		}
+		defer func() {
+			sup.Stop()
+			_ = c.Close()
+		}()
+		victim := drillVictim(b, c)
+		b.StartTimer()
+		faults.IsolateNode(victim, transport.LinkAll)
+		waitEvent(b, sup, supervisor.EventRecovered, 1, 30*time.Second)
+		if readmit {
+			faults.HealNode(victim)
+			waitEvent(b, sup, supervisor.EventReadmitted, 1, 30*time.Second)
+		}
+		b.StopTimer()
+	}
+	b.Run("detect_to_recover/loopback", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			failover(b, transport.NewLoopback(), false)
+		}
+	})
+	b.Run("failover_readmit/tcp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			failover(b, transport.NewTCP(transport.TCPOptions{}), true)
+		}
+	})
 }
 
 // TestSupervisedChaosDrill is the drill under 30% push drops (meant for

@@ -56,11 +56,6 @@ func (c *Controller) Observe(load float64) {
 	c.history = append(c.history, load)
 }
 
-// History returns the observed demand curve.
-func (c *Controller) History() []float64 {
-	return append([]float64(nil), c.history...)
-}
-
 // Derivative returns Δ, the demand growth rate per cycle estimated over
 // the last S observations (Eq 3). With fewer than S+1 observations it
 // falls back to the longest available window; with fewer than two it is 0.

@@ -102,13 +102,6 @@ func (t *Tracker) BytesScanned() int64 {
 	return total
 }
 
-// NodeIO returns the disk bytes charged to the node so far.
-func (t *Tracker) NodeIO(node partition.NodeID) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.io[node]
-}
-
 // NodeCPU returns the cells charged to the node so far.
 func (t *Tracker) NodeCPU(node partition.NodeID) int64 {
 	t.mu.Lock()

@@ -48,12 +48,6 @@ func MustCurve(dims int, bits uint) *Curve {
 	return c
 }
 
-// Dims returns the dimensionality of the curve.
-func (c *Curve) Dims() int { return c.dims }
-
-// Bits returns the per-dimension bit depth.
-func (c *Curve) Bits() uint { return c.bits }
-
 // Size returns the number of points on the curve (2^(dims*bits)).
 func (c *Curve) Size() uint64 { return 1 << (uint(c.dims) * c.bits) }
 

@@ -257,9 +257,6 @@ func New(c *cluster.Cluster, opts Options) (*Supervisor, error) {
 // Detector returns the supervisor's failure detector, for status probes.
 func (s *Supervisor) Detector() *detector.Detector { return s.det }
 
-// Options returns the resolved tuning.
-func (s *Supervisor) Options() Options { return s.opts }
-
 // onAnnouncement is the cluster's announcement sink: it may run on a
 // transport handler goroutine while the admin lock is held, so it only
 // feeds the detector (a leaf lock) and queues any readmission transition

@@ -40,9 +40,6 @@ func NewRing(size int) *Ring {
 	return r
 }
 
-// Cap returns the ring's capacity in bytes.
-func (r *Ring) Cap() int { return len(r.buf) }
-
 // Write implements io.Writer, blocking while the ring is full. Writing
 // after CloseWrite, or after CloseWithError, fails.
 func (r *Ring) Write(p []byte) (int, error) {
