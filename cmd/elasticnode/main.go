@@ -125,7 +125,7 @@ func newStoreNode(id partition.NodeID, schemas map[string]*array.Schema) *storeN
 }
 
 func (n *storeNode) Deliver(from partition.NodeID, kind transport.BatchKind, count int, next func() (*array.Chunk, error)) error {
-	staged := make([]*array.Chunk, 0, count)
+	var staged []*array.Chunk // grown by append: count is the sender's word
 	for i := 0; i < count; i++ {
 		ch, err := next()
 		if err != nil {

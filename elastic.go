@@ -114,8 +114,7 @@ type (
 	// TCP is the socket transport backend: every node a served endpoint,
 	// chunk batches streamed over the ABAT codec with bounded memory.
 	TCP = transport.TCP
-	// TCPOptions tunes the TCP backend (listen address, ring and segment
-	// sizes).
+	// TCPOptions tunes the TCP backend (listen address and timeouts).
 	TCPOptions = transport.TCPOptions
 )
 

@@ -19,17 +19,25 @@ type nodeService struct {
 	node *Node
 }
 
+// deliverPrealloc caps the chunk slots a delivery reserves from its
+// declared count: a batch of up to 4096 chunks gets its exact slice, and
+// one that only claims to be larger reserves 32 KiB of pointers and grows
+// as its chunks actually arrive.
+const deliverPrealloc = 4096
+
 // Deliver implements transport.Handler. Ingest and rebalance batches go to
 // the partitioned store (rebalance writes absorb transient store faults via
 // putWithRetry); replica batches go to the node's replica map. Chunks are
 // consumed one at a time off the stream, so a socket-backed delivery holds
-// O(one chunk) beyond the receiver's ring.
+// O(one chunk) beyond the connection's read buffer. n is the sender's
+// word, so the bookkeeping slices are sized from it only up to
+// deliverPrealloc and grow by append past that.
 func (s *nodeService) Deliver(from partition.NodeID, kind transport.BatchKind, n int, next func() (*array.Chunk, error)) error {
 	switch kind {
 	case transport.KindIngest, transport.KindRebalance:
 		// The stored prefix is tracked by pointer (a ChunkRef is five
 		// times the size); refs are derived only to unwind a torn batch.
-		delivered := make([]*array.Chunk, 0, n)
+		delivered := make([]*array.Chunk, 0, min(n, deliverPrealloc))
 		unwind := func() {
 			for _, ch := range delivered {
 				_, _ = s.node.take(ch.Ref())
@@ -57,7 +65,7 @@ func (s *nodeService) Deliver(from partition.NodeID, kind transport.BatchKind, n
 		// Replica placement may overwrite an existing copy, so stage the
 		// whole batch before committing: a torn stream must not have
 		// half-replaced anything.
-		staged := make([]*array.Chunk, 0, n)
+		staged := make([]*array.Chunk, 0, min(n, deliverPrealloc))
 		for i := 0; i < n; i++ {
 			ch, err := next()
 			if err != nil {

@@ -2,14 +2,20 @@ package cluster
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/array"
+	"repro/internal/partition"
 	"repro/internal/transport"
 )
 
@@ -458,5 +464,116 @@ func TestFetchChunkServesPrimaryAndReplica(t *testing.T) {
 				t.Fatalf("replica fetch of %s from node %d differs", ch.Ref(), h)
 			}
 		}
+	}
+}
+
+// rawPush writes a push request by hand on conn — the "ETRN" header (magic,
+// op 1, from, kind) and the given segments — so a test can send what no
+// well-behaved sender would.
+func rawPush(t *testing.T, conn net.Conn, kind transport.BatchKind, segments ...[]byte) {
+	t.Helper()
+	b := append([]byte("NRTE"), 1) // u32 "ETRN" little endian, op push
+	b = binary.LittleEndian.AppendUint64(b, 99)
+	b = append(b, byte(kind))
+	for _, seg := range segments {
+		b = append(binary.LittleEndian.AppendUint32(b, uint32(len(seg))), seg...)
+	}
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rawNodeConn dials a TCP cluster's node with a plain socket.
+func rawNodeConn(t *testing.T, c *Cluster, id partition.NodeID) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", c.Transport().Addr(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	return conn
+}
+
+// TestTCPPushDeclaredCountUntrusted sends a push whose batch header
+// declares 2^32-1 chunks and carries none: the node must not size anything
+// from that count, must commit nothing, and must take the next push on the
+// same connection.
+func TestTCPPushDeclaredCountUntrusted(t *testing.T) {
+	c := newTransportCluster(t, 2, 1, transport.NewTCP(transport.TCPOptions{}))
+	id := c.Nodes()[1]
+	node, _ := c.Node(id)
+	conn := rawNodeConn(t, c, id)
+	header, err := array.EncodeChunkBatch(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(header[6:], 0xffffffff) // the chunk count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rawPush(t, conn, transport.KindIngest, header, nil)
+	resp := make([]byte, 5)
+	if _, err := io.ReadFull(conn, resp); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if resp[0] != 2 { // the corrupt-stream status
+		t.Fatalf("response status %d, want 2 (corrupt stream)", resp[0])
+	}
+	if _, err := io.ReadFull(conn, make([]byte, binary.LittleEndian.Uint32(resp[1:]))); err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("an empty batch declaring 2^32-1 chunks allocated %d bytes, want under 1 MiB", grew)
+	}
+	if node.NumChunks() != 0 {
+		t.Fatalf("node holds %d chunks after an empty batch", node.NumChunks())
+	}
+
+	batch, err := array.EncodeChunkBatch(makeChunks(t, 1, 4, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawPush(t, conn, transport.KindIngest, batch, nil)
+	if _, err := io.ReadFull(conn, resp[:1]); err != nil || resp[0] != 0 {
+		t.Fatalf("next push answered status %d (%v), want 0 (ok)", resp[0], err)
+	}
+	if node.NumChunks() != 1 {
+		t.Fatalf("node holds %d chunks after the next push, want 1", node.NumChunks())
+	}
+}
+
+// TestTCPPushCutMidSegmentCommitsNothing cuts a two-chunk push inside its
+// second chunk's frame, after the node has stored the first: the node must
+// unwind that chunk and drop the connection without a response.
+func TestTCPPushCutMidSegmentCommitsNothing(t *testing.T) {
+	c := newTransportCluster(t, 2, 1, transport.NewTCP(transport.TCPOptions{}))
+	id := c.Nodes()[1]
+	node, _ := c.Node(id)
+	chunks := makeChunks(t, 2, 16, 11)
+	batch, err := array.EncodeChunkBatch(chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := array.EncodeChunk(chunks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := 10 + 2 + len(chunks[0].Schema.Name) + len(first) + 20 // batch header, first frame, 20 bytes more
+	conn := rawNodeConn(t, c, id)
+	rawPush(t, conn, transport.KindIngest, batch[:10]) // the batch header segment
+	segment := binary.LittleEndian.AppendUint32(nil, uint32(len(batch)-10))
+	if _, err := conn.Write(append(segment, batch[10:cut]...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	// The node closes the connection only once the delivery has unwound.
+	if rest, err := io.ReadAll(conn); err != nil || len(rest) != 0 {
+		t.Fatalf("torn push answered %x (%v), want the connection closed", rest, err)
+	}
+	if node.NumChunks() != 0 {
+		t.Fatalf("node holds %d chunks from a torn push", node.NumChunks())
 	}
 }

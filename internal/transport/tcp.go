@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +31,10 @@ import (
 //
 // Segmenting the push payload lets the sender stream the encode — total
 // batch length is never known up front — while the receiver still gets
-// exact framing to decode against.
+// exact framing to decode against. The segment rule: each write of the
+// batch writer (the batch header, then one whole frame per chunk) is cut
+// into segments of at most segmentSize bytes, and no segment spans two
+// writes, so a push's bytes depend only on its chunks.
 const (
 	tcpMagic = 0x4554524e // "ETRN"
 
@@ -41,6 +45,12 @@ const (
 	statusOK      = 0
 	statusRemote  = 1
 	statusCorrupt = 2
+
+	segmentSize = 32 << 10
+
+	// bodyPrealloc caps what a response body's length prefix can make the
+	// client allocate before the bytes arrive.
+	bodyPrealloc = 256 << 10
 )
 
 // TCPOptions tunes a TCP transport.
@@ -48,10 +58,6 @@ type TCPOptions struct {
 	// ListenAddr is the address Serve listens on ("127.0.0.1:0" when
 	// empty — an OS-assigned loopback port per node).
 	ListenAddr string
-	// RingSize bounds the sender-side encode ring in bytes (default 64 KiB).
-	RingSize int
-	// SegmentSize caps one wire segment in bytes (default 32 KiB).
-	SegmentSize int
 	// DialTimeout bounds connection establishment (default 5s, < 0
 	// disables). A dead endpoint fails the dial instead of hanging it.
 	DialTimeout time.Duration
@@ -101,8 +107,8 @@ func (o TCPOptions) poolIdle() time.Duration {
 }
 
 // TCP is the socket backend: every served node is a goroutine-owned
-// listener on a loopback port, every verb a framed exchange, and every
-// push a streaming encode (bounded by a Ring) into segment frames the
+// listener on a loopback port, every verb one framed request/response
+// exchange, and every push a streaming encode into segment frames the
 // receiver decodes chunk-at-a-time. See the package comment for the
 // delivery and error model.
 type TCP struct {
@@ -130,12 +136,6 @@ type TCP struct {
 
 // NewTCP returns a TCP transport with no endpoints yet.
 func NewTCP(opts TCPOptions) *TCP {
-	if opts.RingSize <= 0 {
-		opts.RingSize = 64 << 10
-	}
-	if opts.SegmentSize <= 0 {
-		opts.SegmentSize = 32 << 10
-	}
 	return &TCP{
 		opts:      opts,
 		handlers:  make(map[partition.NodeID]Handler),
@@ -227,30 +227,26 @@ func (t *TCP) serveConn(conn net.Conn, h Handler) {
 		// connections may legitimately sit quiet — but once a request's
 		// magic arrives, the rest of the exchange runs on the I/O budget so
 		// a client dying mid-request cannot wedge this goroutine.
-		var magic uint32
-		if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
+		var hdr [13]byte // magic, op, from
+		if _, err := io.ReadFull(br, hdr[:4]); err != nil {
 			return
 		}
-		if magic != tcpMagic {
+		if binary.LittleEndian.Uint32(hdr[:4]) != tcpMagic {
 			return
 		}
 		clear := t.armDeadline(conn)
-		var op uint8
-		var from int64
-		if err := binary.Read(br, binary.LittleEndian, &op); err != nil {
+		if _, err := io.ReadFull(br, hdr[4:]); err != nil {
 			return
 		}
-		if err := binary.Read(br, binary.LittleEndian, &from); err != nil {
-			return
-		}
+		from := partition.NodeID(int64(binary.LittleEndian.Uint64(hdr[5:])))
 		var err error
-		switch op {
+		switch hdr[4] {
 		case opPush:
-			err = t.servePush(br, bw, partition.NodeID(from), h)
+			err = t.servePush(br, bw, from, h)
 		case opFetch:
 			err = t.serveFetch(br, bw, h)
 		case opAnnounce:
-			err = t.serveAnnounce(br, bw, partition.NodeID(from), h)
+			err = t.serveAnnounce(br, bw, from, h)
 		default:
 			return
 		}
@@ -273,15 +269,17 @@ func writeStatus(bw *bufio.Writer, err error) error {
 	if errors.Is(err, ErrCorruptStream) {
 		status = statusCorrupt
 	}
-	if werr := bw.WriteByte(status); werr != nil {
-		return werr
+	return writeBody(bw, status, []byte(err.Error()))
+}
+
+// writeBody writes a response that carries a body: the status byte, the
+// u32 body length, the body.
+func writeBody(bw *bufio.Writer, status byte, body []byte) error {
+	if _, err := bw.Write(binary.LittleEndian.AppendUint32(append(bw.AvailableBuffer(), status), uint32(len(body)))); err != nil {
+		return err
 	}
-	msg := err.Error()
-	if werr := binary.Write(bw, binary.LittleEndian, uint32(len(msg))); werr != nil {
-		return werr
-	}
-	_, werr := bw.WriteString(msg)
-	return werr
+	_, err := bw.Write(body)
+	return err
 }
 
 // segmentReader presents a push's segment stream as one contiguous reader
@@ -297,15 +295,12 @@ func (s *segmentReader) Read(p []byte) (int, error) {
 		if s.done {
 			return 0, io.EOF
 		}
-		var n uint32
-		if err := binary.Read(s.r, binary.LittleEndian, &n); err != nil {
+		var n [4]byte
+		if _, err := io.ReadFull(s.r, n[:]); err != nil {
 			return 0, fmt.Errorf("%w: reading segment header: %w", ErrCorruptStream, err)
 		}
-		if n == 0 {
-			s.done = true
-			return 0, io.EOF
-		}
-		s.remaining = int(n)
+		s.remaining = int(binary.LittleEndian.Uint32(n[:]))
+		s.done = s.remaining == 0
 	}
 	if len(p) > s.remaining {
 		p = p[:s.remaining]
@@ -320,25 +315,17 @@ func (s *segmentReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// drain consumes the rest of the segment stream after a failed delivery,
-// so the connection can be reused for the error response. Best-effort: a
-// cut stream just errors out and the connection dies with it.
+// drain consumes the rest of the segment stream through the end marker, so
+// the connection can be reused for the response. A cut stream errors out
+// and the connection dies with it.
 func (s *segmentReader) drain() error {
-	buf := make([]byte, 4096)
-	for {
-		_, err := s.Read(buf)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
+	_, err := io.Copy(io.Discard, s)
+	return err
 }
 
 func (t *TCP) servePush(br *bufio.Reader, bw *bufio.Writer, from partition.NodeID, h Handler) error {
-	var kind uint8
-	if err := binary.Read(br, binary.LittleEndian, &kind); err != nil {
+	kind, err := br.ReadByte()
+	if err != nil {
 		return err
 	}
 	seg := &segmentReader{r: br}
@@ -350,7 +337,9 @@ func (t *TCP) servePush(br *bufio.Reader, bw *bufio.Writer, from partition.NodeI
 	}
 	next := func() (*array.Chunk, error) {
 		ch, err := dec.Next()
-		if err != nil && err != io.EOF && !errors.Is(err, ErrCorruptStream) {
+		// io.EOF is the clean end only once every declared chunk arrived;
+		// a stream that ends early is as corrupt as a torn one.
+		if err != nil && (err != io.EOF || dec.Remaining() > 0) && !errors.Is(err, ErrCorruptStream) {
 			err = fmt.Errorf("%w: %w", ErrCorruptStream, err)
 		}
 		return ch, err
@@ -376,26 +365,27 @@ func (t *TCP) servePush(br *bufio.Reader, bw *bufio.Writer, from partition.NodeI
 }
 
 func (t *TCP) serveFetch(br *bufio.Reader, bw *bufio.Writer, h Handler) error {
-	var nameLen uint16
-	if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
+	var nameLen [2]byte
+	if _, err := io.ReadFull(br, nameLen[:]); err != nil {
 		return err
 	}
-	name := make([]byte, nameLen)
+	name := make([]byte, binary.LittleEndian.Uint16(nameLen[:]))
 	if _, err := io.ReadFull(br, name); err != nil {
 		return err
 	}
-	var nDims uint8
-	if err := binary.Read(br, binary.LittleEndian, &nDims); err != nil {
+	nDims, err := br.ReadByte()
+	if err != nil {
+		return err
+	}
+	raw := make([]byte, 8*int(nDims))
+	if _, err := io.ReadFull(br, raw); err != nil {
 		return err
 	}
 	coords := make(array.ChunkCoord, nDims)
 	for i := range coords {
-		if err := binary.Read(br, binary.LittleEndian, &coords[i]); err != nil {
-			return err
-		}
+		coords[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
-	ref := array.ChunkRef{Array: string(name), Coords: coords}
-	ch, err := h.Fetch(ref)
+	ch, err := h.Fetch(array.ChunkRef{Array: string(name), Coords: coords})
 	if err != nil {
 		return writeStatus(bw, err)
 	}
@@ -403,26 +393,25 @@ func (t *TCP) serveFetch(br *bufio.Reader, bw *bufio.Writer, h Handler) error {
 	if err != nil {
 		return writeStatus(bw, err)
 	}
-	if err := bw.WriteByte(statusOK); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(payload))); err != nil {
-		return err
-	}
-	_, err = bw.Write(payload)
-	return err
+	return writeBody(bw, statusOK, payload)
 }
 
 func (t *TCP) serveAnnounce(br *bufio.Reader, bw *bufio.Writer, from partition.NodeID, h Handler) error {
-	var a Announcement
-	var node int64
-	fields := []interface{}{&node, &a.Health, &a.Chunks, &a.Bytes, &a.Replicas, &a.ReplicaBytes, &a.Epoch, &a.Seq}
-	for _, f := range fields {
-		if err := binary.Read(br, binary.LittleEndian, f); err != nil {
-			return err
-		}
+	var b [8 + 4 + 6*8]byte // the op 3 body
+	if _, err := io.ReadFull(br, b[:]); err != nil {
+		return err
 	}
-	a.Node = partition.NodeID(node)
+	le := binary.LittleEndian
+	a := Announcement{
+		Node:         partition.NodeID(int64(le.Uint64(b[0:]))),
+		Health:       int32(le.Uint32(b[8:])),
+		Chunks:       int64(le.Uint64(b[12:])),
+		Bytes:        int64(le.Uint64(b[20:])),
+		Replicas:     int64(le.Uint64(b[28:])),
+		ReplicaBytes: int64(le.Uint64(b[36:])),
+		Epoch:        le.Uint64(b[44:]),
+		Seq:          le.Uint64(b[52:]),
+	}
 	return writeStatus(bw, h.Announce(from, a))
 }
 
@@ -493,25 +482,82 @@ func (t *TCP) release(id partition.NodeID, conn net.Conn) {
 	t.conns[id] = append(t.conns[id], pooledConn{c: conn, idle: time.Now()})
 }
 
-// readResponse reads a status response; body handling for fetch happens at
-// the caller.
-func readResponse(br *bufio.Reader) (byte, string, error) {
+// exchange runs one request/response round trip with node to on a pooled
+// connection: arm the I/O deadline, write the ETRN header (magic, op, from)
+// and the op's body, flush, and read the status. An ok status hands the
+// reader to readOK (when set) for the op's response body; any other status
+// returns statusError. A connection whose exchange ran to completion goes
+// back to the pool; a failure mid-exchange closes it and is transient. The
+// returned count is the request bytes written to the socket.
+func (t *TCP) exchange(from, to partition.NodeID, op byte, body func(*bufio.Writer) error, readOK func(*bufio.Reader) error) (int64, error) {
+	conn, err := t.conn(to)
+	if err != nil {
+		return 0, err
+	}
+	clear := t.armDeadline(conn)
+	cw := &countingWriter{w: conn}
+	fail := func(err error) (int64, error) {
+		conn.Close()
+		return cw.n, markTransient(err)
+	}
+	bw := bufio.NewWriter(cw)
+	hdr := binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), tcpMagic)
+	hdr = binary.LittleEndian.AppendUint64(append(hdr, op), uint64(from))
+	_, _ = bw.Write(hdr) // fits the empty buffer, cannot fail
+	if err := body(bw); err != nil {
+		return fail(err)
+	}
+	if err := bw.Flush(); err != nil {
+		return fail(err)
+	}
+	br := bufio.NewReader(conn)
 	status, err := br.ReadByte()
 	if err != nil {
-		return 0, "", markTransient(fmt.Errorf("transport: reading response: %w", err))
+		return fail(fmt.Errorf("transport: reading response: %w", err))
 	}
-	if status == statusOK {
-		return status, "", nil
+	var remote error
+	if status != statusOK {
+		msg, err := readBody(br)
+		if err != nil {
+			return fail(fmt.Errorf("transport: reading response: %w", err))
+		}
+		remote = statusError(status, string(msg))
+	} else if readOK != nil {
+		if err := readOK(br); err != nil {
+			return fail(err)
+		}
 	}
-	var msgLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &msgLen); err != nil {
-		return 0, "", markTransient(fmt.Errorf("transport: reading response: %w", err))
+	clear()
+	t.release(to, conn)
+	return cw.n, remote
+}
+
+// readBody reads a u32-length-prefixed response body. The length is the
+// peer's word, so the buffer grows with the bytes that actually arrive
+// (through an io.LimitReader) rather than being allocated from the prefix;
+// a body shorter than its prefix is io.ErrUnexpectedEOF.
+func readBody(br *bufio.Reader) ([]byte, error) {
+	var prefix [4]byte
+	if _, err := io.ReadFull(br, prefix[:]); err != nil {
+		return nil, err
 	}
-	msg := make([]byte, msgLen)
-	if _, err := io.ReadFull(br, msg); err != nil {
-		return 0, "", markTransient(fmt.Errorf("transport: reading response: %w", err))
+	n := int(binary.LittleEndian.Uint32(prefix[:]))
+	body := make([]byte, 0, min(n, bodyPrealloc))
+	lr := io.LimitReader(br, int64(n))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(len(body), n-len(body)))
+		}
+		m, err := lr.Read(body[len(body):cap(body)])
+		body = body[:len(body)+m]
+		if err == io.EOF {
+			return nil, io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	return status, string(msg), nil
+	return body, nil
 }
 
 // statusError converts a non-ok response into the client-side error.
@@ -534,10 +580,10 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// PushChunks implements Transport: stream the batch encode through a
-// bounded ring into segment frames on the socket, then wait for the
-// receiver's verdict. The returned bytes are what actually crossed the
-// wire (header, segments and markers included).
+// PushChunks implements Transport: stream the batch encode into segment
+// frames on the socket, then wait for the receiver's verdict. The returned
+// bytes are what actually crossed the wire (header, segments and markers
+// included).
 func (t *TCP) PushChunks(from, to partition.NodeID, kind BatchKind, chunks []*array.Chunk) (int64, error) {
 	return t.push(from, to, kind, chunks, 0)
 }
@@ -553,116 +599,93 @@ func (t *TCP) pushTruncated(from, to partition.NodeID, kind BatchKind, chunks []
 	return wire, err
 }
 
-func (t *TCP) push(from, to partition.NodeID, kind BatchKind, chunks []*array.Chunk, trunc int64) (int64, error) {
-	conn, err := t.conn(to)
-	if err != nil {
-		return 0, err
-	}
-	clear := t.armDeadline(conn)
-	cw := &countingWriter{w: conn}
-	bw := bufio.NewWriter(cw)
-	fail := func(err error) (int64, error) {
-		conn.Close()
-		return cw.n, markTransient(err)
-	}
-	_ = binary.Write(bw, binary.LittleEndian, uint32(tcpMagic))
-	_ = bw.WriteByte(opPush)
-	_ = binary.Write(bw, binary.LittleEndian, int64(from))
-	_ = bw.WriteByte(byte(kind))
-
-	// Encoder goroutine: chunk-at-a-time into the bounded ring. The main
-	// goroutine drains the ring into wire segments, so encode can never run
-	// further ahead of the socket than the ring's capacity.
-	ring := NewRing(t.opts.RingSize)
-	go func() {
-		enc, err := array.NewChunkBatchWriter(ring, len(chunks))
-		if err == nil {
-			for _, ch := range chunks {
-				if err = enc.Write(ch); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				err = enc.Close()
-			}
-		}
-		ring.CloseWithError(err) // nil = clean EOF
-	}()
-
-	// Drain the ring into wire segments. A fault-injected partial write
-	// (trunc > 0) holds the in-flight segment back one step so the final
-	// one can be cut short — header promising bytes the connection never
-	// delivers — whatever the batch size.
-	var pending []byte
-	writeSegment := func(p []byte, cut bool) error {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(p))); err != nil {
+func (t *TCP) push(from, to partition.NodeID, kind BatchKind, chunks []*array.Chunk, trunc int) (int64, error) {
+	wire, err := t.exchange(from, to, opPush, func(bw *bufio.Writer) error {
+		if err := bw.WriteByte(byte(kind)); err != nil {
 			return err
 		}
-		if cut {
-			keep := len(p) - int(trunc)
-			if keep < 0 {
-				keep = 0
-			}
-			p = p[:keep]
-		}
-		_, err := bw.Write(p)
-		return err
+		return writeSegments(bw, chunks, trunc)
+	}, nil)
+	if err == nil {
+		t.pushes.Add(1)
+		t.pushedBytes.Add(wire)
 	}
-	seg := make([]byte, t.opts.SegmentSize)
-	for {
-		n, rerr := ring.Read(seg)
-		if n > 0 {
-			if trunc > 0 {
-				if pending != nil {
-					if err := writeSegment(pending, false); err != nil {
-						ring.CloseWithError(err)
-						return fail(err)
-					}
-				}
-				pending = append(pending[:0], seg[:n]...)
-			} else if err := writeSegment(seg[:n], false); err != nil {
-				ring.CloseWithError(err)
-				return fail(err)
-			}
+	return wire, err
+}
+
+// writeSegments streams the batch encode into bw as wire segments. One
+// encoder goroutine frames the chunks into an io.Pipe while this goroutine
+// drains it, so encoding the next chunk overlaps writing the last one to
+// the socket. A pipe Read never spans two Writes, which is what makes
+// every segment a piece of one batch-writer write (the segment rule).
+// With trunc > 0 — the fault-injected partial write — the final segment
+// is cut trunc bytes short and the end marker never sent. The encoder is
+// done by the time writeSegments returns, whichever way it returns.
+func writeSegments(bw *bufio.Writer, chunks []*array.Chunk, trunc int) error {
+	pr, pw := io.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		enc, err := array.NewChunkBatchWriter(pw, len(chunks))
+		for i := 0; err == nil && i < len(chunks); i++ {
+			err = enc.Write(chunks[i])
 		}
-		if rerr == io.EOF {
+		if err == nil {
+			err = enc.Close()
+		}
+		pw.CloseWithError(err) // nil = clean EOF
+	}()
+	defer func() {
+		pr.Close() // fails an encoder Write still blocked on a drain that gave up
+		<-done
+	}()
+
+	seg := make([]byte, segmentSize)
+	var pending []byte
+	for {
+		n, err := pr.Read(seg)
+		if err == io.EOF {
 			break
 		}
-		if rerr != nil {
-			return fail(rerr)
+		if err != nil {
+			return err
+		}
+		if trunc == 0 {
+			err = writeSegment(bw, seg[:n], n)
+		} else {
+			// A partial write holds each segment back one step, so the
+			// final one can be cut short whatever the batch size.
+			if pending != nil {
+				err = writeSegment(bw, pending, len(pending))
+			}
+			pending = append(pending[:0], seg[:n]...)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	if trunc > 0 {
 		// Cut the final segment (or, for an empty batch, just omit the end
-		// marker) and kill the connection: the receiver sees a torn stream.
+		// marker); the exchange then kills the connection, so the receiver
+		// sees a torn stream. The flush error is moot: the push fails anyway.
 		if pending != nil {
-			_ = writeSegment(pending, true)
+			_ = writeSegment(bw, pending, max(len(pending)-trunc, 0))
 		}
 		_ = bw.Flush()
-		conn.Close()
-		return cw.n, markTransient(fmt.Errorf("%w: %w: connection cut %d bytes early", ErrInjected, ErrCorruptStream, trunc))
+		return fmt.Errorf("%w: %w: connection cut %d bytes early", ErrInjected, ErrCorruptStream, trunc)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(0)); err != nil {
-		return fail(err)
+	_, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), 0)) // end marker
+	return err
+}
+
+// writeSegment frames p as one segment but sends only its first keep bytes
+// (keep < len(p) tears the stream).
+func writeSegment(bw *bufio.Writer, p []byte, keep int) error {
+	if _, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), uint32(len(p)))); err != nil {
+		return err
 	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	br := bufio.NewReader(conn)
-	status, msg, err := readResponse(br)
-	if err != nil {
-		conn.Close()
-		return cw.n, err
-	}
-	clear()
-	if status != statusOK {
-		t.release(to, conn)
-		return cw.n, statusError(status, msg)
-	}
-	t.release(to, conn)
-	t.pushes.Add(1)
-	t.pushedBytes.Add(cw.n)
-	return cw.n, nil
+	_, err := bw.Write(p[:keep])
+	return err
 }
 
 // lookupFor resolves the schema registry the client side decodes fetched
@@ -695,55 +718,27 @@ func (t *TCP) FetchChunk(from, to partition.NodeID, ref array.ChunkRef) (*array.
 	if !ok {
 		return nil, 0, fmt.Errorf("transport: fetch of unknown array %q", ref.Array)
 	}
-	conn, err := t.conn(to)
+	var payload []byte
+	written, err := t.exchange(from, to, opFetch, func(bw *bufio.Writer) error {
+		b := binary.LittleEndian.AppendUint16(bw.AvailableBuffer(), uint16(len(ref.Array)))
+		b = append(append(b, ref.Array...), byte(len(ref.Coords)))
+		for _, c := range ref.Coords {
+			b = binary.LittleEndian.AppendUint64(b, uint64(c))
+		}
+		_, err := bw.Write(b)
+		return err
+	}, func(br *bufio.Reader) (err error) {
+		payload, err = readBody(br)
+		return err
+	})
 	if err != nil {
-		return nil, 0, err
+		return nil, written, err
 	}
-	clear := t.armDeadline(conn)
-	cw := &countingWriter{w: conn}
-	bw := bufio.NewWriter(cw)
-	fail := func(err error) (*array.Chunk, int64, error) {
-		conn.Close()
-		return nil, cw.n, markTransient(err)
-	}
-	_ = binary.Write(bw, binary.LittleEndian, uint32(tcpMagic))
-	_ = bw.WriteByte(opFetch)
-	_ = binary.Write(bw, binary.LittleEndian, int64(from))
-	_ = binary.Write(bw, binary.LittleEndian, uint16(len(ref.Array)))
-	_, _ = bw.WriteString(ref.Array)
-	_ = bw.WriteByte(byte(len(ref.Coords)))
-	for _, c := range ref.Coords {
-		_ = binary.Write(bw, binary.LittleEndian, c)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	br := bufio.NewReader(conn)
-	status, msg, err := readResponse(br)
-	if err != nil {
-		conn.Close()
-		return nil, cw.n, err
-	}
-	if status != statusOK {
-		clear()
-		t.release(to, conn)
-		return nil, cw.n, statusError(status, msg)
-	}
-	var payloadLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &payloadLen); err != nil {
-		return fail(err)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return fail(err)
-	}
-	clear()
-	t.release(to, conn)
 	ch, err := array.DecodeChunk(s, payload)
 	if err != nil {
-		return nil, cw.n, fmt.Errorf("transport: fetched %s: %w", ref, err)
+		return nil, written, fmt.Errorf("transport: fetched %s: %w", ref, err)
 	}
-	wire := cw.n + int64(payloadLen) + 5
+	wire := written + int64(len(payload)) + 5
 	t.fetches.Add(1)
 	t.fetchBytes.Add(wire)
 	return ch, wire, nil
@@ -751,39 +746,20 @@ func (t *TCP) FetchChunk(from, to partition.NodeID, ref array.ChunkRef) (*array.
 
 // Announce implements Transport.
 func (t *TCP) Announce(from, to partition.NodeID, a Announcement) error {
-	conn, err := t.conn(to)
-	if err != nil {
+	_, err := t.exchange(from, to, opAnnounce, func(bw *bufio.Writer) error {
+		le := binary.LittleEndian
+		b := le.AppendUint64(bw.AvailableBuffer(), uint64(a.Node))
+		b = le.AppendUint32(b, uint32(a.Health))
+		for _, v := range [...]uint64{uint64(a.Chunks), uint64(a.Bytes), uint64(a.Replicas), uint64(a.ReplicaBytes), a.Epoch, a.Seq} {
+			b = le.AppendUint64(b, v)
+		}
+		_, err := bw.Write(b)
 		return err
+	}, nil)
+	if err == nil {
+		t.announces.Add(1)
 	}
-	clear := t.armDeadline(conn)
-	bw := bufio.NewWriter(conn)
-	fail := func(err error) error {
-		conn.Close()
-		return markTransient(err)
-	}
-	_ = binary.Write(bw, binary.LittleEndian, uint32(tcpMagic))
-	_ = bw.WriteByte(opAnnounce)
-	_ = binary.Write(bw, binary.LittleEndian, int64(from))
-	fields := []interface{}{int64(a.Node), a.Health, a.Chunks, a.Bytes, a.Replicas, a.ReplicaBytes, a.Epoch, a.Seq}
-	for _, f := range fields {
-		_ = binary.Write(bw, binary.LittleEndian, f)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	br := bufio.NewReader(conn)
-	status, msg, err := readResponse(br)
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	clear()
-	t.release(to, conn)
-	if status != statusOK {
-		return statusError(status, msg)
-	}
-	t.announces.Add(1)
-	return nil
+	return err
 }
 
 // Remote implements Transport: payloads cross sockets.

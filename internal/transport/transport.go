@@ -15,12 +15,13 @@
 //     no transport runs on one, so the in-process cluster and the TCP
 //     cluster execute the same ingest, rebalance and recovery code.
 //   - TCP: every node is a goroutine-owned socket server and every verb is
-//     a length-prefixed wire exchange reusing the array package's "ABAT"
-//     batch framing as the payload protocol. Batches stream on both ends —
-//     the sender encodes chunk-at-a-time through a bounded Ring into the
-//     socket, the receiver decodes chunk-at-a-time off the segment stream —
-//     so a migration's peak memory is O(ring + one chunk) per side, never
-//     the batch.
+//     one length-prefixed request/response exchange reusing the array
+//     package's "ABAT" batch framing as the payload protocol. Batches
+//     stream on both ends — the sender encodes chunk-at-a-time through an
+//     io.Pipe into segments of at most 32 KiB, each cut from one chunk
+//     frame, and the receiver decodes chunk-at-a-time off the segment
+//     stream — so a migration's peak memory is O(one chunk) per side,
+//     never the batch.
 //
 // Fault injection mirrors the store layer's FaultStore: wrap any backend
 // in a FaultTransport to inject latency, connection drops and truncated

@@ -72,7 +72,7 @@ func (m *memHandler) Deliver(from partition.NodeID, kind BatchKind, n int, next 
 		m.failNext = nil
 		return err
 	}
-	staged := make([]*array.Chunk, 0, n)
+	var staged []*array.Chunk
 	for i := 0; i < n; i++ {
 		ch, err := next()
 		if err != nil {
@@ -345,27 +345,51 @@ func TestConcurrentPushes(t *testing.T) {
 	})
 }
 
-// TestTCPStreamingLargeBatch pushes a batch much larger than the ring, so
-// success proves the encoder/drain pipeline makes progress under
-// backpressure rather than buffering the whole batch.
+// TestTCPStreamingLargeBatch pushes chunks whose frames exceed one
+// segment, so each is cut into several, and pins the push's wire bytes
+// exactly to the segment rule: the request header, the batch header as one
+// segment, every chunk frame in ceil(frame/32 KiB) segments, and the end
+// marker.
 func TestTCPStreamingLargeBatch(t *testing.T) {
-	s := testSchema("A")
-	tr := NewTCP(TCPOptions{RingSize: 1 << 10, SegmentSize: 512})
+	const segment = 32 << 10
+	s := array.MustSchema("Big",
+		[]array.Attribute{{Name: "v", Type: array.Float64}},
+		[]array.Dimension{
+			{Name: "x", Start: 0, End: 255, ChunkInterval: 64},
+			{Name: "y", Start: 0, End: 255, ChunkInterval: 64},
+		})
+	tr := NewTCP(TCPOptions{})
 	defer tr.Close()
 	h := newMemHandler(s)
 	if err := tr.Serve(2, h); err != nil {
 		t.Fatal(err)
 	}
+	want := int64(14 + 4 + 10 + 4) // request header, batch header segment, end marker
 	var chunks []*array.Chunk
-	for i := 0; i < 64; i++ {
-		chunks = append(chunks, fillChunk(t, s, array.ChunkCoord{int64(i), int64(i)}, 25))
+	for i := int64(0); i < 4; i++ {
+		cc := array.ChunkCoord{i, 3 - i}
+		c := array.NewChunk(s, cc)
+		origin := s.ChunkOrigin(cc)
+		for j := int64(0); j < 64*64; j++ {
+			c.AppendCell(array.Coord{origin[0] + j%64, origin[1] + j/64}, []array.CellValue{{Float: float64(j)}})
+		}
+		payload, err := array.EncodeChunk(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := 2 + len(s.Name) + len(payload)
+		if frame <= segment {
+			t.Fatalf("chunk frame is %d bytes, want more than one %d-byte segment", frame, segment)
+		}
+		want += int64(frame + 4*((frame+segment-1)/segment))
+		chunks = append(chunks, c)
 	}
 	wire, err := tr.PushChunks(1, 2, KindRebalance, chunks)
 	if err != nil {
 		t.Fatalf("large streaming push: %v", err)
 	}
-	if wire < int64(tr.opts.RingSize) {
-		t.Fatalf("wire bytes %d smaller than the ring — batch did not exceed the buffer", wire)
+	if wire != want {
+		t.Fatalf("wire bytes = %d, want %d", wire, want)
 	}
 	if h.chunkCount() != len(chunks) {
 		t.Fatalf("receiver holds %d chunks, want %d", h.chunkCount(), len(chunks))
