@@ -34,7 +34,7 @@
 // before/after remote traffic, without moving anything). ExecuteRebalance
 // ships each receiver's chunks as one batch push over the cluster's node
 // transport, receivers in parallel, atomically; Discard backs a plan out.
-// ScaleOut and Migrate remain as thin plan+execute wrappers.
+// ScaleOut remains as a thin plan+execute wrapper.
 //
 // # Fault tolerance
 //

@@ -15,11 +15,20 @@ import (
 	"repro/internal/query"
 )
 
+// mustSchema is array.NewSchema for fixed test literals.
+func mustSchema(name string, attrs []array.Attribute, dims []array.Dimension) *array.Schema {
+	s, err := array.NewSchema(name, attrs, dims)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // liveFixtureSchema builds one of the two congruent 3-D arrays the
 // randomized tests ingest into (time × x × y, 10×10 spatial chunk grid
 // per slab).
 func liveFixtureSchema(name string) *array.Schema {
-	return array.MustSchema(name,
+	return mustSchema(name,
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{
 			{Name: "time", Start: 0, End: array.Unbounded, ChunkInterval: 1},
@@ -390,7 +399,7 @@ func TestLiveAdviseRaceAgainstSuitesAndRebalance(t *testing.T) {
 	// Ballast: a third congruent array the rebalance rounds bounce between
 	// nodes. It joins the advised set — its moves patch the live graph —
 	// while the suite queries only Band1/Band2.
-	ballast := array.MustSchema("AdvBallast",
+	ballast := mustSchema("AdvBallast",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{
 			{Name: "time", Start: 0, End: array.Unbounded, ChunkInterval: 1},

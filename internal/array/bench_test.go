@@ -7,7 +7,7 @@ import (
 
 func benchChunk(b *testing.B, cells int) *Chunk {
 	b.Helper()
-	s := MustSchema("B",
+	s := mustSchema("B",
 		[]Attribute{{Name: "v", Type: Float64}, {Name: "i", Type: Int32}},
 		[]Dimension{
 			{Name: "t", Start: 0, End: Unbounded, ChunkInterval: 100},

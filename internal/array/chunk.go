@@ -87,12 +87,6 @@ func (c *Chunk) SizeBytes() int64 {
 	return n
 }
 
-// AttrSizeBytes returns the footprint of one vertical segment, the quantity
-// a column-projecting query actually reads.
-func (c *Chunk) AttrSizeBytes(attr int) int64 {
-	return c.AttrCols[attr].SizeBytes()
-}
-
 // ProjectedSizeBytes returns coordinate columns plus the named attribute
 // segments only — the bytes a query touching that attribute subset scans.
 func (c *Chunk) ProjectedSizeBytes(attrs []int) int64 {
@@ -103,14 +97,9 @@ func (c *Chunk) ProjectedSizeBytes(attrs []int) int64 {
 	return n
 }
 
-// Cell returns the coordinate of occupied cell i.
-func (c *Chunk) Cell(i int) Coord {
-	return c.CellInto(i, make(Coord, 0, len(c.DimCols)))
-}
-
 // CellInto writes the coordinate of occupied cell i into buf (reusing its
-// capacity) and returns it — the allocation-free variant of Cell for scan
-// loops. Pass the previous iteration's return value as buf.
+// capacity) and returns it, so scan loops need no allocation per cell.
+// Pass the previous iteration's return value as buf.
 func (c *Chunk) CellInto(i int, buf Coord) Coord {
 	buf = buf[:0]
 	for d := range c.DimCols {
@@ -168,23 +157,6 @@ func (c *Chunk) Filter(keep func(cell Coord) bool) []int {
 		}
 	}
 	return rows
-}
-
-// Subset returns a new chunk holding only the given rows (used by selection
-// operators); the result shares no storage with the receiver.
-func (c *Chunk) Subset(rows []int) *Chunk {
-	out := NewChunkCap(c.Schema, c.Coords, len(rows))
-	for d := range c.DimCols {
-		col := out.DimCols[d]
-		for _, r := range rows {
-			col = append(col, c.DimCols[d][r])
-		}
-		out.DimCols[d] = col
-	}
-	for a := range c.AttrCols {
-		out.AttrCols[a] = c.AttrCols[a].Gather(rows)
-	}
-	return out
 }
 
 // Validate checks internal consistency: equal column lengths and every cell

@@ -37,6 +37,13 @@ const (
 	chunkVersion = 1
 	batchMagic   = 0x41424154 // "ABAT"
 	batchVersion = 1
+
+	// decodePrealloc caps the values a decoder reserves per column from
+	// the header's nCells before any value has arrived; a longer column
+	// grows as its bytes are read. Honest chunks sit far below it and keep
+	// one exact allocation, while a header that lies costs no more than
+	// the stream delivers.
+	decodePrealloc = 1 << 16
 )
 
 // EncodeChunk serialises a chunk payload (schema identity travels out of
@@ -149,10 +156,12 @@ func decodeChunkFrom(r io.Reader, s *Schema) (*Chunk, error) {
 		return nil, fmt.Errorf("array: decoded chunk coordinate %v outside %s grid", cc, s.Name)
 	}
 	c := NewChunk(s, cc)
+	reserve := min(int(nCells), decodePrealloc)
 	for d := 0; d < int(nDims); d++ {
-		col := make([]int64, nCells)
-		for i := range col {
-			if err := rd(&col[i]); err != nil {
+		col := make([]int64, 0, reserve)
+		for range nCells {
+			col = append(col, 0)
+			if err := rd(&col[len(col)-1]); err != nil {
 				return nil, err
 			}
 		}
@@ -169,23 +178,25 @@ func decodeChunkFrom(r io.Reader, s *Schema) (*Chunk, error) {
 		}
 		switch col := c.AttrCols[a].(type) {
 		case *IntColumn:
-			col.Vals = make([]int64, nCells)
-			for i := range col.Vals {
-				if err := rd(&col.Vals[i]); err != nil {
+			col.Vals = make([]int64, 0, reserve)
+			for range nCells {
+				col.Vals = append(col.Vals, 0)
+				if err := rd(&col.Vals[len(col.Vals)-1]); err != nil {
 					return nil, err
 				}
 			}
 		case *FloatColumn:
-			col.Vals = make([]float64, nCells)
-			for i := range col.Vals {
-				if err := rd(&col.Vals[i]); err != nil {
+			col.Vals = make([]float64, 0, reserve)
+			for range nCells {
+				col.Vals = append(col.Vals, 0)
+				if err := rd(&col.Vals[len(col.Vals)-1]); err != nil {
 					return nil, err
 				}
 			}
 		case *StrColumn:
-			col.Vals = make([]string, nCells)
+			col.Vals = make([]string, 0, reserve)
 			buf := make([]byte, 0, 64)
-			for i := range col.Vals {
+			for range nCells {
 				var n uint16
 				if err := rd(&n); err != nil {
 					return nil, err
@@ -197,7 +208,7 @@ func decodeChunkFrom(r io.Reader, s *Schema) (*Chunk, error) {
 				if _, err := io.ReadFull(r, buf); err != nil {
 					return nil, err
 				}
-				col.Vals[i] = string(buf)
+				col.Vals = append(col.Vals, string(buf))
 			}
 		}
 	}
@@ -211,9 +222,10 @@ func decodeChunkFrom(r io.Reader, s *Schema) (*Chunk, error) {
 // time into any io.Writer — the streaming counterpart of ChunkBatchReader.
 // A rebalance sender feeds it chunk by chunk, so peak encode memory is one
 // framed chunk (the writer's scratch buffer) plus whatever the destination
-// writer buffers, instead of the whole batch; pointed at a bounded pipe
-// (transport.Ring) the sender end of a migration runs in O(ring + one
-// chunk) no matter how large the batch is.
+// writer buffers, instead of the whole batch. The TCP transport points it
+// at an io.Pipe whose reader ships each write as it lands, so the sender
+// end of a migration holds one chunk at a time no matter how large the
+// batch is.
 //
 // The chunk count is declared up front (it leads the framing, exactly as
 // EncodeChunkBatch writes it); Close verifies every declared chunk was
@@ -272,9 +284,6 @@ func (bw *ChunkBatchWriter) Write(c *Chunk) error {
 	bw.written++
 	return nil
 }
-
-// Written returns how many chunks have been framed so far.
-func (bw *ChunkBatchWriter) Written() int { return int(bw.written) }
 
 // Close verifies the declared chunk count was delivered. It does not close
 // the destination writer.

@@ -3,6 +3,7 @@ package array
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 // way one rebalance receiver's batch can.
 func batchSchemas() (*Schema, *Schema) {
 	a := testSchema()
-	b := MustSchema("B2",
+	b := mustSchema("B2",
 		[]Attribute{{Name: "v", Type: Float64}},
 		[]Dimension{
 			{Name: "x", Start: 0, End: 9, ChunkInterval: 5},
@@ -63,7 +64,7 @@ func TestEncodeDecodeChunkBatchRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("chunk %d payload diverged through the batch codec", i)
 		}
-		if back[i].Schema.Name != c.Schema.Name || !back[i].Coords.Equal(c.Coords) {
+		if back[i].Schema.Name != c.Schema.Name || !slices.Equal(back[i].Coords, c.Coords) {
 			t.Errorf("chunk %d identity diverged: %s%v vs %s%v",
 				i, back[i].Schema.Name, back[i].Coords, c.Schema.Name, c.Coords)
 		}

@@ -16,14 +16,6 @@ type Column interface {
 	// Float64 returns value i widened to float64. It panics for
 	// non-numeric columns.
 	Float64(i int) float64
-	// Str returns value i rendered as a string. Defined for all types.
-	Str(i int) string
-	// Gather returns a new column holding the values at the given row
-	// indexes, in order.
-	Gather(rows []int) Column
-	// AppendFrom appends value i of src (which must have the same
-	// concrete type) to the column.
-	AppendFrom(src Column, i int)
 }
 
 // IntColumn stores integer-family attributes (int32, int64, bool, char)
@@ -32,9 +24,6 @@ type IntColumn struct {
 	T    DataType
 	Vals []int64
 }
-
-// NewIntColumn returns an empty integer column of the given declared type.
-func NewIntColumn(t DataType) *IntColumn { return &IntColumn{T: t} }
 
 // Type implements Column.
 func (c *IntColumn) Type() DataType { return c.T }
@@ -48,29 +37,8 @@ func (c *IntColumn) SizeBytes() int64 { return int64(len(c.Vals)) * c.T.Size() }
 // Float64 implements Column.
 func (c *IntColumn) Float64(i int) float64 { return float64(c.Vals[i]) }
 
-// Str implements Column.
-func (c *IntColumn) Str(i int) string { return fmt.Sprintf("%d", c.Vals[i]) }
-
 // Append adds a value to the column.
 func (c *IntColumn) Append(v int64) { c.Vals = append(c.Vals, v) }
-
-// Gather implements Column.
-func (c *IntColumn) Gather(rows []int) Column {
-	out := &IntColumn{T: c.T, Vals: make([]int64, 0, len(rows))}
-	for _, r := range rows {
-		out.Vals = append(out.Vals, c.Vals[r])
-	}
-	return out
-}
-
-// AppendFrom implements Column.
-func (c *IntColumn) AppendFrom(src Column, i int) {
-	s, ok := src.(*IntColumn)
-	if !ok {
-		panic(fmt.Sprintf("array: AppendFrom %T into *IntColumn", src))
-	}
-	c.Vals = append(c.Vals, s.Vals[i])
-}
 
 // FloatColumn stores float-family attributes (float32, float64) widened to
 // float64, remembering the declared type for size accounting.
@@ -78,9 +46,6 @@ type FloatColumn struct {
 	T    DataType
 	Vals []float64
 }
-
-// NewFloatColumn returns an empty float column of the given declared type.
-func NewFloatColumn(t DataType) *FloatColumn { return &FloatColumn{T: t} }
 
 // Type implements Column.
 func (c *FloatColumn) Type() DataType { return c.T }
@@ -94,37 +59,13 @@ func (c *FloatColumn) SizeBytes() int64 { return int64(len(c.Vals)) * c.T.Size()
 // Float64 implements Column.
 func (c *FloatColumn) Float64(i int) float64 { return c.Vals[i] }
 
-// Str implements Column.
-func (c *FloatColumn) Str(i int) string { return fmt.Sprintf("%g", c.Vals[i]) }
-
 // Append adds a value to the column.
 func (c *FloatColumn) Append(v float64) { c.Vals = append(c.Vals, v) }
-
-// Gather implements Column.
-func (c *FloatColumn) Gather(rows []int) Column {
-	out := &FloatColumn{T: c.T, Vals: make([]float64, 0, len(rows))}
-	for _, r := range rows {
-		out.Vals = append(out.Vals, c.Vals[r])
-	}
-	return out
-}
-
-// AppendFrom implements Column.
-func (c *FloatColumn) AppendFrom(src Column, i int) {
-	s, ok := src.(*FloatColumn)
-	if !ok {
-		panic(fmt.Sprintf("array: AppendFrom %T into *FloatColumn", src))
-	}
-	c.Vals = append(c.Vals, s.Vals[i])
-}
 
 // StrColumn stores string attributes.
 type StrColumn struct {
 	Vals []string
 }
-
-// NewStrColumn returns an empty string column.
-func NewStrColumn() *StrColumn { return &StrColumn{} }
 
 // Type implements Column.
 func (c *StrColumn) Type() DataType { return String }
@@ -146,36 +87,12 @@ func (c *StrColumn) Float64(i int) float64 {
 	panic("array: Float64 on string column")
 }
 
-// Str implements Column.
-func (c *StrColumn) Str(i int) string { return c.Vals[i] }
-
 // Append adds a value to the column.
 func (c *StrColumn) Append(v string) { c.Vals = append(c.Vals, v) }
 
-// Gather implements Column.
-func (c *StrColumn) Gather(rows []int) Column {
-	out := &StrColumn{Vals: make([]string, 0, len(rows))}
-	for _, r := range rows {
-		out.Vals = append(out.Vals, c.Vals[r])
-	}
-	return out
-}
-
-// AppendFrom implements Column.
-func (c *StrColumn) AppendFrom(src Column, i int) {
-	s, ok := src.(*StrColumn)
-	if !ok {
-		panic(fmt.Sprintf("array: AppendFrom %T into *StrColumn", src))
-	}
-	c.Vals = append(c.Vals, s.Vals[i])
-}
-
-// NewColumn returns an empty column of the appropriate concrete type for t.
-func NewColumn(t DataType) Column { return NewColumnCap(t, 0) }
-
-// NewColumnCap returns an empty column preallocated for n values, so bulk
-// appends (generators, Subset) grow the backing array once instead of
-// doubling repeatedly.
+// NewColumnCap returns an empty column of the concrete type for t,
+// preallocated for n values, so bulk appends (the generators) grow
+// the backing array once instead of doubling repeatedly.
 func NewColumnCap(t DataType, n int) Column {
 	switch t {
 	case Int32, Int64, Bool, Char:
@@ -185,6 +102,6 @@ func NewColumnCap(t DataType, n int) Column {
 	case String:
 		return &StrColumn{Vals: make([]string, 0, n)}
 	default:
-		panic(fmt.Sprintf("array: NewColumn of unknown type %v", t))
+		panic(fmt.Sprintf("array: NewColumnCap of unknown type %v", t))
 	}
 }

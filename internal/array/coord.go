@@ -10,22 +10,6 @@ import (
 // dimension in schema order.
 type Coord []int64
 
-// Clone returns a copy of the coordinate.
-func (c Coord) Clone() Coord { return append(Coord(nil), c...) }
-
-// Equal reports whether two coordinates are identical.
-func (c Coord) Equal(o Coord) bool {
-	if len(c) != len(o) {
-		return false
-	}
-	for i := range c {
-		if c[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (c Coord) String() string {
 	parts := make([]string, len(c))
 	for i, v := range c {
@@ -40,19 +24,6 @@ type ChunkCoord []int64
 
 // Clone returns a copy of the chunk coordinate.
 func (c ChunkCoord) Clone() ChunkCoord { return append(ChunkCoord(nil), c...) }
-
-// Equal reports whether two chunk coordinates are identical.
-func (c ChunkCoord) Equal(o ChunkCoord) bool {
-	if len(c) != len(o) {
-		return false
-	}
-	for i := range c {
-		if c[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // Key renders the chunk coordinate as a compact, comparable map key.
 func (c ChunkCoord) Key() string {
@@ -82,8 +53,8 @@ func (c ChunkCoord) Less(o ChunkCoord) bool {
 	return len(c) < len(o)
 }
 
-// ParseChunkCoord is the inverse of Key.
-func ParseChunkCoord(key string) (ChunkCoord, error) {
+// parseChunkCoord is the inverse of ChunkCoord.Key.
+func parseChunkCoord(key string) (ChunkCoord, error) {
 	if key == "" {
 		return nil, fmt.Errorf("array: empty chunk coordinate key")
 	}
@@ -118,7 +89,7 @@ func ParseChunkRef(key string) (ChunkRef, error) {
 	if i < 0 {
 		return ChunkRef{}, fmt.Errorf("array: bad chunk ref key %q", key)
 	}
-	cc, err := ParseChunkCoord(key[i+1:])
+	cc, err := parseChunkCoord(key[i+1:])
 	if err != nil {
 		return ChunkRef{}, err
 	}
@@ -145,26 +116,6 @@ func (s *Schema) ChunkOrigin(cc ChunkCoord) Coord {
 		o[i] = d.ChunkOrigin(cc[i])
 	}
 	return o
-}
-
-// ChunkGridExtent returns, per dimension, the number of chunk slots of the
-// bounded dimensions; unbounded dimensions report the extent needed to
-// cover [Start, maxSeen] where maxSeen is supplied by the caller, or 1 if
-// maxSeen predates Start.
-func (s *Schema) ChunkGridExtent(maxSeen []int64) []int64 {
-	ext := make([]int64, len(s.Dims))
-	for i, d := range s.Dims {
-		if d.Bounded() {
-			ext[i] = d.NumChunks()
-			continue
-		}
-		hi := d.Start
-		if maxSeen != nil && maxSeen[i] > hi {
-			hi = maxSeen[i]
-		}
-		ext[i] = d.ChunkIndex(hi) + 1
-	}
-	return ext
 }
 
 // ValidCell reports whether every coordinate lies inside the declared
@@ -211,37 +162,4 @@ func (s *Schema) ChunkBounds(cc ChunkCoord) (lo, hi Coord) {
 		}
 	}
 	return lo, hi
-}
-
-// Neighbors returns the chunk coordinates adjacent to cc (±1 along each
-// single dimension — the face neighbours used for halo exchange in windowed
-// and nearest-neighbour queries), restricted to valid grid positions.
-func (s *Schema) Neighbors(cc ChunkCoord) []ChunkCoord {
-	var out []ChunkCoord
-	for i := range cc {
-		for _, delta := range [2]int64{-1, 1} {
-			n := cc.Clone()
-			n[i] += delta
-			if s.ValidChunk(n) {
-				out = append(out, n)
-			}
-		}
-	}
-	return out
-}
-
-// ChunkDistance returns the Chebyshev (L∞) distance between two chunk
-// coordinates; adjacent or identical chunks have distance ≤ 1.
-func ChunkDistance(a, b ChunkCoord) int64 {
-	var max int64
-	for i := range a {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }

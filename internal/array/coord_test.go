@@ -1,13 +1,14 @@
 package array
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func grid2x2() *Schema {
-	return MustSchema("A",
+	return mustSchema("A",
 		[]Attribute{{Name: "v", Type: Float64}},
 		[]Dimension{
 			{Name: "x", Start: 1, End: 4, ChunkInterval: 2},
@@ -37,7 +38,7 @@ func TestChunkOf(t *testing.T) {
 func TestChunkOriginInverse(t *testing.T) {
 	s := grid2x2()
 	for _, key := range []string{"0/0", "0/1", "1/0", "1/1"} {
-		cc, err := ParseChunkCoord(key)
+		cc, err := parseChunkCoord(key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,8 +52,8 @@ func TestChunkOriginInverse(t *testing.T) {
 func TestChunkCoordKeyRoundTrip(t *testing.T) {
 	f := func(a, b, c int16) bool {
 		cc := ChunkCoord{int64(a), int64(b), int64(c)}
-		back, err := ParseChunkCoord(cc.Key())
-		return err == nil && back.Equal(cc)
+		back, err := parseChunkCoord(cc.Key())
+		return err == nil && slices.Equal(back, cc)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -65,16 +66,16 @@ func TestChunkRefKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Array != r.Array || !back.Coords.Equal(r.Coords) {
+	if back.Array != r.Array || !slices.Equal(back.Coords, r.Coords) {
 		t.Errorf("round trip %v -> %v", r, back)
 	}
 	if _, err := ParseChunkRef("noseparator"); err == nil {
 		t.Error("missing ':' should fail")
 	}
-	if _, err := ParseChunkCoord("1/x/3"); err == nil {
+	if _, err := parseChunkCoord("1/x/3"); err == nil {
 		t.Error("non-numeric coordinate should fail")
 	}
-	if _, err := ParseChunkCoord(""); err == nil {
+	if _, err := parseChunkCoord(""); err == nil {
 		t.Error("empty key should fail")
 	}
 }
@@ -115,84 +116,8 @@ func TestValidChunkAndCell(t *testing.T) {
 	}
 }
 
-func TestNeighbors(t *testing.T) {
-	s := grid2x2()
-	n := s.Neighbors(ChunkCoord{0, 0})
-	if len(n) != 2 {
-		t.Fatalf("corner chunk should have 2 neighbours, got %d: %v", len(n), n)
-	}
-	keys := map[string]bool{}
-	for _, cc := range n {
-		keys[cc.Key()] = true
-	}
-	if !keys["1/0"] || !keys["0/1"] {
-		t.Errorf("neighbours of 0/0 = %v, want {1/0, 0/1}", keys)
-	}
-
-	// A 4x4 grid interior chunk has 4 face neighbours.
-	s4 := MustSchema("B",
-		[]Attribute{{Name: "v", Type: Float64}},
-		[]Dimension{
-			{Name: "x", Start: 0, End: 7, ChunkInterval: 2},
-			{Name: "y", Start: 0, End: 7, ChunkInterval: 2},
-		})
-	if n := s4.Neighbors(ChunkCoord{1, 1}); len(n) != 4 {
-		t.Errorf("interior chunk should have 4 neighbours, got %d", len(n))
-	}
-}
-
-func TestNeighborsUnboundedDim(t *testing.T) {
-	s := MustSchema("T",
-		[]Attribute{{Name: "v", Type: Float64}},
-		[]Dimension{{Name: "time", Start: 0, End: Unbounded, ChunkInterval: 10}})
-	n := s.Neighbors(ChunkCoord{0})
-	if len(n) != 1 || n[0].Key() != "1" {
-		t.Errorf("Neighbors(0) on unbounded dim = %v, want [1]", n)
-	}
-}
-
-func TestChunkDistance(t *testing.T) {
-	if d := ChunkDistance(ChunkCoord{0, 0}, ChunkCoord{2, 1}); d != 2 {
-		t.Errorf("distance = %d, want 2", d)
-	}
-	if d := ChunkDistance(ChunkCoord{3, 3}, ChunkCoord{3, 3}); d != 0 {
-		t.Errorf("self distance = %d, want 0", d)
-	}
-	if d := ChunkDistance(ChunkCoord{0, 5}, ChunkCoord{1, 3}); d != 2 {
-		t.Errorf("distance = %d, want 2", d)
-	}
-}
-
-func TestChunkGridExtent(t *testing.T) {
-	s := MustSchema("T",
-		[]Attribute{{Name: "v", Type: Float64}},
-		[]Dimension{
-			{Name: "time", Start: 0, End: Unbounded, ChunkInterval: 10},
-			{Name: "x", Start: 0, End: 19, ChunkInterval: 5},
-		})
-	ext := s.ChunkGridExtent([]int64{35, 0})
-	if ext[0] != 4 {
-		t.Errorf("unbounded extent covering 35 = %d, want 4", ext[0])
-	}
-	if ext[1] != 4 {
-		t.Errorf("bounded extent = %d, want 4", ext[1])
-	}
-	ext = s.ChunkGridExtent(nil)
-	if ext[0] != 1 {
-		t.Errorf("unbounded extent with no data = %d, want 1", ext[0])
-	}
-}
-
 func TestCoordHelpers(t *testing.T) {
 	c := Coord{1, 2, 3}
-	d := c.Clone()
-	d[0] = 9
-	if c[0] != 1 {
-		t.Error("Clone must not alias")
-	}
-	if !c.Equal(Coord{1, 2, 3}) || c.Equal(Coord{1, 2}) || c.Equal(Coord{1, 2, 4}) {
-		t.Error("Equal misbehaves")
-	}
 	if c.String() != "(1,2,3)" {
 		t.Errorf("String = %q", c.String())
 	}

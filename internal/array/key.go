@@ -201,8 +201,8 @@ func MakeChunkKey(id ArrayID, coord CoordKey) ChunkKey {
 }
 
 // Packed interns the array name and packs the coordinates. Hot paths that
-// hold a *Schema should prefer Schema-based construction (Chunk.Key,
-// Schema.ChunkKeyOf), which skips the intern-table lookup.
+// hold a *Schema should prefer Schema-based construction (Chunk.Key, or
+// MakeChunkKey over Schema.ID), which skips the intern-table lookup.
 func (r ChunkRef) Packed() ChunkKey {
 	return ChunkKey{arr: InternArrayName(r.Array), coord: r.Coords.Packed()}
 }
@@ -249,12 +249,6 @@ func (k ChunkKey) Less(o ChunkKey) bool {
 }
 
 func (k ChunkKey) String() string { return k.Ref().String() }
-
-// ChunkKeyOf maps a cell coordinate to the packed identity of the chunk
-// containing it — the allocation-free composition of ChunkOf and Packed.
-func (s *Schema) ChunkKeyOf(cell Coord) ChunkKey {
-	return ChunkKey{arr: s.ID(), coord: s.PackedChunkOf(cell)}
-}
 
 // PackedChunkOf maps a cell coordinate to the packed chunk-grid coordinate
 // containing it without allocating. It panics on dimensionality mismatch,

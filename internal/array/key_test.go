@@ -2,6 +2,7 @@ package array
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -42,7 +43,7 @@ func TestChunkKeyRoundTrip(t *testing.T) {
 		ref := ChunkRef{Array: names[rng.Intn(len(names))], Coords: cc}
 		key := ref.Packed()
 		back := key.Ref()
-		if back.Array != ref.Array || !back.Coords.Equal(ref.Coords) {
+		if back.Array != ref.Array || !slices.Equal(back.Coords, ref.Coords) {
 			t.Fatalf("Packed/Ref round trip: %v -> %v", ref, back)
 		}
 		if key.ArrayName() != ref.Array {
@@ -127,8 +128,11 @@ func TestCoordKeyLessMatchesChunkCoordLess(t *testing.T) {
 	}
 }
 
+// TestChunkKeyOf: a cell's chunk key built the allocation-free way, from
+// the schema's interned ID and PackedChunkOf, equals the canonical key
+// packed from its ChunkRef.
 func TestChunkKeyOf(t *testing.T) {
-	s := MustSchema("KeyOfA",
+	s := mustSchema("KeyOfA",
 		[]Attribute{{Name: "v", Type: Float64}},
 		[]Dimension{
 			{Name: "x", Start: -8, End: 7, ChunkInterval: 4},
@@ -136,8 +140,8 @@ func TestChunkKeyOf(t *testing.T) {
 		})
 	cell := Coord{-5, 9}
 	want := ChunkRef{Array: "KeyOfA", Coords: s.ChunkOf(cell)}.Packed()
-	if got := s.ChunkKeyOf(cell); got != want {
-		t.Errorf("ChunkKeyOf(%v) = %v, want %v", cell, got, want)
+	if got := MakeChunkKey(s.ID(), s.PackedChunkOf(cell)); got != want {
+		t.Errorf("chunk key of %v = %v, want %v", cell, got, want)
 	}
 	if got := s.PackedChunkOf(cell); got != s.ChunkOf(cell).Packed() {
 		t.Errorf("PackedChunkOf(%v) = %v, want %v", cell, got, s.ChunkOf(cell))
@@ -149,15 +153,15 @@ func TestCellInto(t *testing.T) {
 	var buf Coord
 	for i := 0; i < c.Len(); i++ {
 		buf = c.CellInto(i, buf)
-		if !buf.Equal(c.Cell(i)) {
-			t.Fatalf("CellInto(%d) = %v, Cell = %v", i, buf, c.Cell(i))
+		if want := (Coord{c.DimCols[0][i], c.DimCols[1][i]}); !slices.Equal(buf, want) {
+			t.Fatalf("CellInto(%d) = %v, want %v", i, buf, want)
 		}
 	}
 }
 
 func benchChunkForTest(t *testing.T) *Chunk {
 	t.Helper()
-	s := MustSchema("CellIntoA",
+	s := mustSchema("CellIntoA",
 		[]Attribute{{Name: "v", Type: Float64}},
 		[]Dimension{
 			{Name: "x", Start: 0, End: 15, ChunkInterval: 4},

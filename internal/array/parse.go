@@ -33,16 +33,6 @@ func ParseSchema(decl string) (*Schema, error) {
 	return NewSchema(name, attrs, dims)
 }
 
-// MustParseSchema is ParseSchema that panics on error; for tests and
-// literals.
-func MustParseSchema(decl string) *Schema {
-	s, err := ParseSchema(decl)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 func parseAttrs(body string) ([]Attribute, error) {
 	var attrs []Attribute
 	for _, part := range strings.Split(body, ",") {

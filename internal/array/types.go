@@ -38,17 +38,6 @@ func (t DataType) Size() int64 {
 	}
 }
 
-// Numeric reports whether values of the type can be read through
-// Column.Float64.
-func (t DataType) Numeric() bool {
-	switch t {
-	case Int32, Int64, Float32, Float64, Bool, Char:
-		return true
-	default:
-		return false
-	}
-}
-
 func (t DataType) String() string {
 	switch t {
 	case Int32:
@@ -231,32 +220,10 @@ func NewSchema(name string, attrs []Attribute, dims []Dimension) (*Schema, error
 	return s, nil
 }
 
-// MustSchema is NewSchema that panics on error; for tests and literals.
-func MustSchema(name string, attrs []Attribute, dims []Dimension) *Schema {
-	s, err := NewSchema(name, attrs, dims)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// NumDims returns the dimensionality of the array.
-func (s *Schema) NumDims() int { return len(s.Dims) }
-
 // AttrIndex returns the position of the named attribute, or -1.
 func (s *Schema) AttrIndex(name string) int {
 	for i, a := range s.Attrs {
 		if a.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// DimIndex returns the position of the named dimension, or -1.
-func (s *Schema) DimIndex(name string) int {
-	for i, d := range s.Dims {
-		if d.Name == name {
 			return i
 		}
 	}

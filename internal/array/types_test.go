@@ -19,17 +19,6 @@ func TestDataTypeSize(t *testing.T) {
 	}
 }
 
-func TestDataTypeNumeric(t *testing.T) {
-	if String.Numeric() {
-		t.Error("String should not be numeric")
-	}
-	for _, dt := range []DataType{Int32, Int64, Float32, Float64, Bool, Char} {
-		if !dt.Numeric() {
-			t.Errorf("%v should be numeric", dt)
-		}
-	}
-}
-
 func TestParseDataType(t *testing.T) {
 	for _, s := range []string{"int32", "int64", "float", "double", "bool", "char", "string", "INT32", " int "} {
 		if _, err := ParseDataType(s); err != nil {
@@ -134,7 +123,7 @@ func TestNewSchemaValidation(t *testing.T) {
 }
 
 func TestSchemaLookups(t *testing.T) {
-	s := MustSchema("A",
+	s := mustSchema("A",
 		[]Attribute{{Name: "i", Type: Int32}, {Name: "j", Type: Float32}},
 		[]Dimension{{Name: "x", Start: 1, End: 4, ChunkInterval: 2}, {Name: "y", Start: 1, End: 4, ChunkInterval: 2}})
 	if got := s.AttrIndex("j"); got != 1 {
@@ -143,16 +132,10 @@ func TestSchemaLookups(t *testing.T) {
 	if got := s.AttrIndex("zz"); got != -1 {
 		t.Errorf("AttrIndex(zz) = %d, want -1", got)
 	}
-	if got := s.DimIndex("y"); got != 1 {
-		t.Errorf("DimIndex(y) = %d, want 1", got)
-	}
-	if got := s.NumDims(); got != 2 {
-		t.Errorf("NumDims = %d, want 2", got)
-	}
 }
 
 func TestSchemaString(t *testing.T) {
-	s := MustSchema("A",
+	s := mustSchema("A",
 		[]Attribute{{Name: "i", Type: Int32}, {Name: "j", Type: Float32}},
 		[]Dimension{{Name: "x", Start: 1, End: 4, ChunkInterval: 2}, {Name: "t", Start: 0, End: Unbounded, ChunkInterval: 10}})
 	got := s.String()

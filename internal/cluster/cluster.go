@@ -31,7 +31,7 @@ type PartitionerFactory func(initial []partition.NodeID) (partition.Partitioner,
 // and the execution phases interleaving against the sharded catalog and
 // the locked node stores. Administration
 // (DefineArray, ReplicateArray, the rebalance pipeline PlanScaleOut /
-// PlanMigrate / ExecuteRebalance and its ScaleOut / Migrate wrappers,
+// PlanMigrate / ExecuteRebalance and its ScaleOut wrapper,
 // Validate) is exclusive among itself and against ingest: it waits for
 // in-flight ingest calls to drain and blocks new ones while it runs.
 //
@@ -123,16 +123,14 @@ type Cluster struct {
 	// query-layer chunk pulls and holdings announcements. Never nil: New
 	// installs a transport.Loopback when the configuration names none.
 	transport transport.Transport
-	// annMu guards announcements, the coordinator-side registry of each
-	// node's latest self-reported holdings (a leaf lock: announcements
-	// arrive from handler callbacks while admin is held), and annSink.
-	annMu         sync.Mutex
-	announcements map[partition.NodeID]transport.Announcement
-	// annSink, when set, observes every recorded announcement — the
-	// failure detector's heartbeat feed. Invoked outside annMu, but
-	// possibly from a handler callback while admin is held exclusively
-	// (announceAll over the loopback transport delivers synchronously),
-	// so a sink must never take cluster locks.
+	// annMu guards annSink (a leaf lock: announcements arrive from
+	// handler callbacks while admin is held).
+	annMu sync.Mutex
+	// annSink, when set, observes every announcement the coordinator
+	// receives — the failure detector's heartbeat feed. Invoked outside
+	// annMu, but possibly from a handler callback while admin is held
+	// exclusively (announceAll over the loopback transport delivers
+	// synchronously), so a sink must never take cluster locks.
 	annSink func(transport.Announcement)
 	// liveNodes is a lock-free snapshot of the node set (*Node slice,
 	// coordinator first) for the heartbeat loop: HeartbeatNow must not
@@ -260,7 +258,6 @@ func New(cfg Config) (*Cluster, error) {
 		transferBackoff: backoff,
 		repKeys:         make(map[array.ChunkKey]bool),
 		transport:       tr,
-		announcements:   make(map[partition.NodeID]transport.Announcement),
 	}
 	c.parallelism.Store(int32(cfg.Parallelism))
 	var initial []partition.NodeID
@@ -506,22 +503,6 @@ func (c *Cluster) ScaleOut(k int) (ScaleOutResult, error) {
 	res.FrameBytes = r.FrameBytes
 	res.MeasuredDuration = r.MeasuredDuration
 	return res, nil
-}
-
-// Migrate executes an externally planned set of chunk relocations — the
-// entry point for online placement optimisers such as the co-access
-// advisor (the paper's §8 future work). It is a thin wrapper over
-// PlanMigrate / ExecuteRebalance run as one administrative operation.
-// Unlike ScaleOut it adds no nodes; the charge is the receiver-parallel
-// transfer of the moved bytes.
-func (c *Cluster) Migrate(moves []partition.Move) (Duration, error) {
-	c.admin.Lock()
-	defer c.admin.Unlock()
-	plan, err := c.buildRebalancePlan(moves, nil)
-	if err != nil {
-		return 0, err
-	}
-	return c.executeRebalance(plan)
 }
 
 // Validate audits cluster invariants: the catalog and the healthy node

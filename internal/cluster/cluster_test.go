@@ -8,8 +8,17 @@ import (
 	"repro/internal/partition"
 )
 
+// mustSchema is array.NewSchema for fixed test literals.
+func mustSchema(name string, attrs []array.Attribute, dims []array.Dimension) *array.Schema {
+	s, err := array.NewSchema(name, attrs, dims)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func testSchema() *array.Schema {
-	return array.MustSchema("A",
+	return mustSchema("A",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{
 			{Name: "x", Start: 0, End: 63, ChunkInterval: 4},
@@ -116,7 +125,7 @@ func TestInsertRejectsDuplicatesAndUndefined(t *testing.T) {
 	if _, err := c.Insert(chunks); err == nil {
 		t.Error("duplicate insert must fail (no-overwrite)")
 	}
-	other := array.MustSchema("Zed",
+	other := mustSchema("Zed",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{{Name: "x", Start: 0, End: 9, ChunkInterval: 2}})
 	orphan := array.NewChunk(other, array.ChunkCoord{0})
@@ -213,7 +222,7 @@ func TestScaleOutKdTreeIncremental(t *testing.T) {
 
 func TestReplicateArray(t *testing.T) {
 	c := newTestCluster(t, 3, consistentFactory)
-	vs := array.MustSchema("Vessel",
+	vs := mustSchema("Vessel",
 		[]array.Attribute{{Name: "typ", Type: array.Int32}},
 		[]array.Dimension{{Name: "vessel_id", Start: 0, End: 999, ChunkInterval: 1000}})
 	ch := array.NewChunk(vs, array.ChunkCoord{0})

@@ -44,8 +44,8 @@
 // released with Discard; like ingest plans, rebalance plans are
 // epoch-stamped, so executing one stales outstanding ingest plans and any
 // concurrently planned rebalance. Validate names outstanding plans of
-// both kinds. ScaleOut and Migrate remain as thin plan+execute wrappers
-// run under one administrative critical section.
+// both kinds. ScaleOut remains as a thin plan+execute wrapper run under
+// one administrative critical section.
 //
 // # One data path, one rollback
 //

@@ -14,12 +14,15 @@ import (
 // writes), and discard a plan that is not going to run so its catalog
 // reservations are released.
 func ExampleCluster_PlanInsert() {
-	schema := array.MustSchema("Grid",
+	schema, err := array.NewSchema("Grid",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{
 			{Name: "x", Start: 0, End: 15, ChunkInterval: 4},
 			{Name: "y", Start: 0, End: 15, ChunkInterval: 4},
 		})
+	if err != nil {
+		log.Fatal(err)
+	}
 	c, err := cluster.New(cluster.Config{
 		InitialNodes: 2,
 		NodeCapacity: 1 << 20,
@@ -83,12 +86,15 @@ func ExampleCluster_PlanInsert() {
 // per-receiver batches, wire bytes, Eq 7 duration — and only then commit
 // it, shipping each receiver's chunks as one batched codec round-trip.
 func ExampleCluster_PlanScaleOut() {
-	schema := array.MustSchema("Grid",
+	schema, err := array.NewSchema("Grid",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{
 			{Name: "x", Start: 0, End: 15, ChunkInterval: 4},
 			{Name: "y", Start: 0, End: 15, ChunkInterval: 4},
 		})
+	if err != nil {
+		log.Fatal(err)
+	}
 	c, err := cluster.New(cluster.Config{
 		InitialNodes: 2,
 		NodeCapacity: 1 << 20,
@@ -155,12 +161,15 @@ func ExampleCluster_PlanScaleOut() {
 // it with the same ExecuteRebalance every other plan runs through, and
 // finally readmit the repaired node.
 func ExampleCluster_PlanRecover() {
-	schema := array.MustSchema("Grid",
+	schema, err := array.NewSchema("Grid",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{
 			{Name: "x", Start: 0, End: 15, ChunkInterval: 4},
 			{Name: "y", Start: 0, End: 15, ChunkInterval: 4},
 		})
+	if err != nil {
+		log.Fatal(err)
+	}
 	c, err := cluster.New(cluster.Config{
 		InitialNodes:      3,
 		NodeCapacity:      1 << 20,
@@ -206,8 +215,7 @@ func ExampleCluster_PlanRecover() {
 	}
 	// (Exact recovery counts depend on where the rendezvous hash placed
 	// the secondaries, so the example asserts the invariants instead.)
-	fmt.Printf("plan covers every lost primary: %v; unrecoverable: %d; fills priced: %v\n",
-		plan.NumRecoveries() >= lostPrimaries, len(plan.Unrecoverable()), plan.WireBytes() > 0)
+	fmt.Printf("unrecoverable: %d; fills priced: %v\n", len(plan.Unrecoverable()), plan.WireBytes() > 0)
 
 	// Phase 2: execute — atomically, with per-transfer retry.
 	if _, err := c.ExecuteRebalance(plan); err != nil {
@@ -225,7 +233,7 @@ func ExampleCluster_PlanRecover() {
 	fmt.Printf("node %d healthy again; degraded: %v\n", victim, c.Degraded())
 	// Output:
 	// node 1 down holding 5 primaries; degraded: true
-	// plan covers every lost primary: true; unrecoverable: 0; fills priced: true
+	// unrecoverable: 0; fills priced: true
 	// redundancy restored, catalog clean
 	// node 1 healthy again; degraded: false
 }

@@ -142,7 +142,7 @@ func (c *Cluster) publishPlacement(events []PlacementEvent) {
 // derived-state consumers rebuild from (advisor.Live falls back to it on
 // first use or detected divergence). fn must not call cluster methods
 // that take the admin lock — Insert, PlanInsert, ExecutePlan, ScaleOut,
-// PlanScaleOut, PlanMigrate, ExecuteRebalance, Migrate, Validate,
+// PlanScaleOut, PlanMigrate, ExecuteRebalance, Validate,
 // ReplicateArray, DefineArray or Quiesce itself — which would deadlock;
 // the read accessors (Nodes, Node, Schema, Owner, PlacementGen, …) are
 // all safe.

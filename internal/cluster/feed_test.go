@@ -157,8 +157,8 @@ func TestFeedSilentOnRollbackAndDiscard(t *testing.T) {
 	fs.FailPuts(victim.Ref(), -1)
 	dst.store = fs
 	moves := []partition.Move{{Ref: victim.Ref(), From: from, To: to, Size: victim.SizeBytes()}}
-	if _, err := c.Migrate(moves); err == nil || !errors.Is(err, ErrInjected) {
-		t.Fatalf("Migrate should surface the injected failure, got %v", err)
+	if _, err := migrate(c, moves); err == nil || !errors.Is(err, ErrInjected) {
+		t.Fatalf("a migration should surface the injected failure, got %v", err)
 	}
 
 	// Rolled-back ingest: same injected fault on a fresh batch's chunk.

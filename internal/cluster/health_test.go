@@ -140,8 +140,8 @@ func TestKillNodeDrill(t *testing.T) {
 	if lost := plan.Unrecoverable(); len(lost) != 0 {
 		t.Fatalf("R=2 recovery reported %d unrecoverable chunk(s): %v", len(lost), lost)
 	}
-	if plan.NumRecoveries() < lostPrimaries {
-		t.Fatalf("plan recovers %d chunks, the down node owned %d", plan.NumRecoveries(), lostPrimaries)
+	if len(plan.recovers) < lostPrimaries {
+		t.Fatalf("plan recovers %d chunks, the down node owned %d", len(plan.recovers), lostPrimaries)
 	}
 	d, err := c.ExecuteRebalance(plan)
 	if err != nil {
@@ -232,8 +232,8 @@ func TestPlanRecoverReportsUnrecoverableAtR1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.NumRecoveries() != 0 {
-		t.Errorf("R=1 plan recovers %d chunks, want 0", plan.NumRecoveries())
+	if len(plan.recovers) != 0 {
+		t.Errorf("R=1 plan recovers %d chunks, want 0", len(plan.recovers))
 	}
 	lost := plan.Unrecoverable()
 	if len(lost) != len(want) {

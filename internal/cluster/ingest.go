@@ -25,8 +25,8 @@ import (
 //
 // A plan is pinned to the cluster topology it was computed against: a
 // rebalance committing between planning and execution — PlanScaleOut
-// revising the table, or ExecuteRebalance (and the ScaleOut/Migrate
-// wrappers) moving chunks — invalidates it (ExecutePlan releases its
+// revising the table, or ExecuteRebalance (and the ScaleOut wrapper)
+// moving chunks — invalidates it (ExecutePlan releases its
 // reservations and reports the staleness; plan the batch again against
 // the new table).
 //
@@ -54,9 +54,6 @@ type IngestPlan struct {
 // NumChunks returns the number of chunks the plan places.
 func (p *IngestPlan) NumChunks() int { return len(p.chunks) }
 
-// Bytes returns the total payload the plan ingests.
-func (p *IngestPlan) Bytes() int64 { return p.localBytes + p.remoteBytes }
-
 // LocalBytes returns the payload landing on the coordinator (charged at
 // disk rate δ).
 func (p *IngestPlan) LocalBytes() int64 { return p.localBytes }
@@ -68,19 +65,6 @@ func (p *IngestPlan) RemoteBytes() int64 { return p.remoteBytes }
 // NumDestinations returns how many distinct nodes receive chunks — the
 // execution phase's maximum parallelism.
 func (p *IngestPlan) NumDestinations() int { return len(p.destList) }
-
-// Assignments materialises the plan's placement decisions in canonical
-// chunk order, for inspection and tests.
-func (p *IngestPlan) Assignments() []partition.Assignment {
-	out := make([]partition.Assignment, len(p.chunks))
-	for i, ch := range p.chunks {
-		out[i] = partition.Assignment{
-			Info: array.ChunkInfo{Ref: ch.Ref(), Size: p.sizes[i]},
-			Node: p.dests[i],
-		}
-	}
-	return out
-}
 
 // Discard releases an unexecuted plan's catalog reservations. Discarding
 // an executed (or already discarded) plan is a no-op.

@@ -26,24 +26,18 @@ func TestPlanInsertExecute(t *testing.T) {
 	if plan.NumChunks() != 40 {
 		t.Errorf("plan has %d chunks, want 40", plan.NumChunks())
 	}
-	if plan.Bytes() != want {
-		t.Errorf("plan bytes = %d, want %d", plan.Bytes(), want)
-	}
-	if plan.LocalBytes()+plan.RemoteBytes() != plan.Bytes() {
-		t.Error("local + remote must cover the batch")
+	if got := plan.LocalBytes() + plan.RemoteBytes(); got != want {
+		t.Errorf("plan local + remote bytes = %d, want %d", got, want)
 	}
 	if plan.NumDestinations() < 2 {
 		t.Errorf("a 40-chunk k-d batch on 4 nodes should fan out, got %d destinations", plan.NumDestinations())
 	}
-	asgn := plan.Assignments()
-	if len(asgn) != 40 {
-		t.Fatalf("Assignments len = %d", len(asgn))
-	}
-	for i := 1; i < len(asgn); i++ {
-		if !asgn[i-1].Info.Ref.Packed().Less(asgn[i].Info.Ref.Packed()) {
-			t.Fatal("assignments must be in canonical chunk order")
+	for i := 1; i < len(plan.chunks); i++ {
+		if !plan.chunks[i-1].Key().Less(plan.chunks[i].Key()) {
+			t.Fatal("plan chunks must be in canonical order")
 		}
 	}
+	dests := append([]partition.NodeID(nil), plan.dests...)
 	// The plan phase reserves: a second plan for the same chunks fails.
 	if _, err := c.PlanInsert(chunks[:1]); err == nil {
 		t.Error("planning an already-planned chunk must fail")
@@ -62,11 +56,11 @@ func TestPlanInsertExecute(t *testing.T) {
 	if c.TotalBytes() != want {
 		t.Errorf("TotalBytes = %d, want %d", c.TotalBytes(), want)
 	}
-	// The catalog agrees with the plan's assignments.
-	for _, a := range asgn {
-		owner, ok := c.Owner(a.Info.Ref.Packed())
-		if !ok || owner != a.Node {
-			t.Fatalf("chunk %s: catalog says (%d,%v), plan said %d", a.Info.Ref, owner, ok, a.Node)
+	// The catalog agrees with the plan's destinations.
+	for i, ch := range plan.chunks {
+		owner, ok := c.Owner(ch.Key())
+		if !ok || owner != dests[i] {
+			t.Fatalf("chunk %s: catalog says (%d,%v), plan said %d", ch.Ref(), owner, ok, dests[i])
 		}
 	}
 	if err := c.Validate(); err != nil {
@@ -131,7 +125,7 @@ func TestPlanRejectsInBatchDuplicates(t *testing.T) {
 func TestFailedInsertIsAtomic(t *testing.T) {
 	c := newTestCluster(t, 2, consistentFactory)
 	good := makeChunks(t, 5, 4, 24)
-	other := array.MustSchema("Zzz",
+	other := mustSchema("Zzz",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{{Name: "x", Start: 0, End: 9, ChunkInterval: 2}})
 	orphan := array.NewChunk(other, array.ChunkCoord{4})

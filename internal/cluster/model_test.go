@@ -86,7 +86,7 @@ func runRandomSequence(t *testing.T, kind string, seed int64) {
 			from, _ := c.Owner(ref.Packed())
 			to := c.Nodes()[rng.Intn(c.NumNodes())]
 			if to != from {
-				if _, err := c.Migrate([]partition.Move{{Ref: ref, From: from, To: to, Size: model[key]}}); err != nil {
+				if _, err := migrate(c, []partition.Move{{Ref: ref, From: from, To: to, Size: model[key]}}); err != nil {
 					t.Fatalf("op %d migrate: %v", op, err)
 				}
 			}
@@ -131,21 +131,21 @@ func TestMigrateValidation(t *testing.T) {
 	owner, _ := c.Owner(ref.Packed())
 	other := partition.NodeID(1 - int(owner))
 	// Wrong source node.
-	if _, err := c.Migrate([]partition.Move{{Ref: ref, From: other, To: owner, Size: 1}}); err == nil {
+	if _, err := migrate(c, []partition.Move{{Ref: ref, From: other, To: owner, Size: 1}}); err == nil {
 		t.Error("wrong From should fail")
 	}
 	// Unknown chunk.
 	bogus := array.ChunkRef{Array: "A", Coords: array.ChunkCoord{15, 15}}
-	if _, err := c.Migrate([]partition.Move{{Ref: bogus, From: 0, To: 1, Size: 1}}); err == nil {
+	if _, err := migrate(c, []partition.Move{{Ref: bogus, From: 0, To: 1, Size: 1}}); err == nil {
 		t.Error("unknown chunk should fail")
 	}
 	// Empty plan is free.
-	d, err := c.Migrate(nil)
+	d, err := migrate(c, nil)
 	if err != nil || d != 0 {
 		t.Errorf("empty plan: d=%v err=%v", d, err)
 	}
 	// A valid move works and is charged.
-	d, err = c.Migrate([]partition.Move{{Ref: ref, From: owner, To: other, Size: chunks[0].SizeBytes()}})
+	d, err = migrate(c, []partition.Move{{Ref: ref, From: owner, To: other, Size: chunks[0].SizeBytes()}})
 	if err != nil {
 		t.Fatal(err)
 	}

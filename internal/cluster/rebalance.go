@@ -156,10 +156,6 @@ type ReceiverBatch struct {
 // NumMoves returns the number of chunk relocations the plan performs.
 func (p *RebalancePlan) NumMoves() int { return len(p.moves) }
 
-// NumRecoveries returns the number of chunks the plan restores — replica
-// promotions plus re-replications (PlanRecover plans only).
-func (p *RebalancePlan) NumRecoveries() int { return len(p.recovers) }
-
 // Unrecoverable returns the chunks PlanRecover found no surviving copy of,
 // in canonical order — at replication factor 1 that is every chunk the
 // failed node owned. Executing the plan restores everything else; the

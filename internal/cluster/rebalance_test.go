@@ -12,6 +12,15 @@ import (
 	"repro/internal/partition"
 )
 
+// migrate plans and executes an externally planned move set in one call.
+func migrate(c *Cluster, moves []partition.Move) (Duration, error) {
+	plan, err := c.PlanMigrate(moves)
+	if err != nil {
+		return 0, err
+	}
+	return c.ExecuteRebalance(plan)
+}
+
 // referenceMigrate is the pre-plan serial semantics a rebalance must
 // reproduce: apply the moves one at a time to a snapshot of the catalog
 // and compute the Eq 7 receiver-parallel charge. The property tests diff
@@ -121,7 +130,7 @@ func randomMoves(c *Cluster, rng *rand.Rand, fraction float64) []partition.Move 
 }
 
 // TestMigrateMatchesSerialReference is the acceptance property: the
-// batched, receiver-parallel Migrate must land exactly the catalog, node
+// batched, receiver-parallel migration must land exactly the catalog, node
 // contents and duration of the serial per-chunk path, across randomized
 // move sets.
 func TestMigrateMatchesSerialReference(t *testing.T) {
@@ -134,12 +143,12 @@ func TestMigrateMatchesSerialReference(t *testing.T) {
 		moves := randomMoves(c, rng, 0.4)
 		owners, wantD := referenceMigrate(c, moves)
 		payloads := snapshotPayloads(t, c)
-		d, err := c.Migrate(moves)
+		d, err := migrate(c, moves)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d != wantD {
-			t.Errorf("trial %d: Migrate duration %v, serial reference %v", trial, d, wantD)
+			t.Errorf("trial %d: migration duration %v, serial reference %v", trial, d, wantD)
 		}
 		checkAgainstReference(t, c, owners, payloads)
 	}
@@ -254,7 +263,7 @@ func TestScaleOutWithReplicasPredictionExact(t *testing.T) {
 	for _, factory := range []PartitionerFactory{consistentFactory, kdFactory, rrFactory} {
 		for _, k := range []int{1, 2, 3} {
 			c := newTestCluster(t, 2, factory)
-			rs := array.MustSchema("Rep",
+			rs := mustSchema("Rep",
 				[]array.Attribute{{Name: "v", Type: array.Int64}},
 				[]array.Dimension{{Name: "i", Start: 0, End: 99, ChunkInterval: 100}})
 			rep := array.NewChunk(rs, array.ChunkCoord{0})
@@ -294,7 +303,7 @@ func TestScaleOutWithReplicasPredictionExact(t *testing.T) {
 // receiver's bytes.
 func TestPlanReceiverVolumesKeyedByNode(t *testing.T) {
 	c := newTestCluster(t, 4, consistentFactory)
-	rs := array.MustSchema("Rep",
+	rs := mustSchema("Rep",
 		[]array.Attribute{{Name: "v", Type: array.Int64}},
 		[]array.Dimension{{Name: "i", Start: 0, End: 99, ChunkInterval: 100}})
 	rep := array.NewChunk(rs, array.ChunkCoord{0})
@@ -476,7 +485,7 @@ func TestRebalanceStalesIngestPlanAndReleasesReservations(t *testing.T) {
 	if _, err := c.PlanMigrate(bad); err == nil || !strings.Contains(err.Error(), "reserved by an outstanding ingest plan") {
 		t.Fatalf("moving a reserved chunk: %v", err)
 	}
-	if _, err := c.Migrate(moves); err != nil {
+	if _, err := migrate(c, moves); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ExecutePlan(ingest); err == nil || !strings.Contains(err.Error(), "stale") {
@@ -543,8 +552,8 @@ func TestRebalanceRollsBackOnStoreError(t *testing.T) {
 	dst.store = fs
 	ownersBefore, _ := referenceMigrate(c, nil) // snapshot of current placement
 	payloads := snapshotPayloads(t, c)
-	if _, err := c.Migrate(moves); err == nil || !errors.Is(err, ErrInjected) {
-		t.Fatalf("Migrate should surface the injected failure, got %v", err)
+	if _, err := migrate(c, moves); err == nil || !errors.Is(err, ErrInjected) {
+		t.Fatalf("a migration should surface the injected failure, got %v", err)
 	}
 	checkAgainstReference(t, c, ownersBefore, payloads)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -11,16 +12,34 @@ import (
 	"repro/internal/transport"
 )
 
+// latestAnnouncements registers a sink on c that keeps each node's latest
+// announcement, and returns a snapshot function over them.
+func latestAnnouncements(c *Cluster) func() map[partition.NodeID]transport.Announcement {
+	var mu sync.Mutex
+	last := make(map[partition.NodeID]transport.Announcement)
+	c.SetAnnouncementSink(func(a transport.Announcement) {
+		mu.Lock()
+		last[a.Node] = a
+		mu.Unlock()
+	})
+	return func() map[partition.NodeID]transport.Announcement {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(last)
+	}
+}
+
 // TestHeartbeatNow pins the emission path: every non-coordinator node
 // announces once per call, sequence numbers are strictly monotonic, and a
 // transportless cluster is a no-op.
 func TestHeartbeatNow(t *testing.T) {
 	c := newTransportCluster(t, 3, 1, transport.NewLoopback())
+	latest := latestAnnouncements(c)
 	if sent := c.HeartbeatNow(); sent != 2 {
 		t.Fatalf("HeartbeatNow sent %d, want 2 (non-coordinator nodes)", sent)
 	}
 	first := map[partition.NodeID]uint64{}
-	for id, a := range c.Announcements() {
+	for id, a := range latest() {
 		if a.Seq == 0 {
 			t.Errorf("node %d heartbeat carries seq 0", id)
 		}
@@ -30,7 +49,7 @@ func TestHeartbeatNow(t *testing.T) {
 		t.Fatalf("announcements from %d nodes, want 2", len(first))
 	}
 	c.HeartbeatNow()
-	for id, a := range c.Announcements() {
+	for id, a := range latest() {
 		if a.Seq <= first[id] {
 			t.Errorf("node %d seq did not advance: %d then %d", id, first[id], a.Seq)
 		}
@@ -42,6 +61,7 @@ func TestHeartbeatNow(t *testing.T) {
 // keep counting.
 func TestHeartbeatSeqSurvivesTopologyChange(t *testing.T) {
 	c := newTransportCluster(t, 2, 1, transport.NewLoopback())
+	latest := latestAnnouncements(c)
 	c.HeartbeatNow()
 	plan, err := c.PlanScaleOut(2)
 	if err != nil {
@@ -53,7 +73,7 @@ func TestHeartbeatSeqSurvivesTopologyChange(t *testing.T) {
 	if sent := c.HeartbeatNow(); sent != 3 {
 		t.Fatalf("after scale-out HeartbeatNow sent %d, want 3", sent)
 	}
-	anns := c.Announcements()
+	anns := latest()
 	if len(anns) != 3 {
 		t.Fatalf("announcements from %d nodes, want 3", len(anns))
 	}
@@ -88,11 +108,12 @@ func TestAnnouncementSink(t *testing.T) {
 // idempotent and synchronous.
 func TestStartHeartbeatsStops(t *testing.T) {
 	c := newTransportCluster(t, 2, 1, transport.NewLoopback())
+	latest := latestAnnouncements(c)
 	stop := c.StartHeartbeats(time.Millisecond)
 	defer stop()
 	deadline := 0
 	for {
-		if a, ok := c.Announcements()[c.Nodes()[1]]; ok && a.Seq >= 2 {
+		if a, ok := latest()[c.Nodes()[1]]; ok && a.Seq >= 2 {
 			break
 		}
 		if deadline++; deadline > 5000 {

@@ -93,10 +93,15 @@ func (s *nodeService) Fetch(ref array.ChunkRef) (*array.Chunk, error) {
 	return nil, fmt.Errorf("cluster: node %d does not hold %s", s.node.ID, ref)
 }
 
-// Announce implements transport.Handler: record the sender's self-reported
-// holdings in the coordinator-side registry.
+// Announce implements transport.Handler: hand the sender's self-reported
+// holdings to the registered sink (see Cluster.annSink).
 func (s *nodeService) Announce(from partition.NodeID, a transport.Announcement) error {
-	s.c.recordAnnouncement(a)
+	s.c.annMu.Lock()
+	sink := s.c.annSink
+	s.c.annMu.Unlock()
+	if sink != nil {
+		sink(a)
+	}
 	return nil
 }
 
@@ -105,10 +110,6 @@ func (s *nodeService) Announce(from partition.NodeID, a transport.Announcement) 
 func (s *nodeService) Schema(name string) (*array.Schema, bool) {
 	return s.c.Schema(name)
 }
-
-// Transport returns the cluster's node transport — never nil: a cluster
-// configured without one runs on a transport.Loopback.
-func (c *Cluster) Transport() transport.Transport { return c.transport }
 
 // WireReads reports whether chunk reads between distinct nodes cross a
 // real wire — the transport is remote (TCP). The query layer gates its wire
@@ -126,22 +127,8 @@ func (c *Cluster) FetchChunk(reader, holder partition.NodeID, ref array.ChunkRef
 	return ch, err
 }
 
-// recordAnnouncement stores a node's latest self-reported holdings and
-// forwards it to the registered sink. The sink runs outside annMu but may
-// run while admin is held (loopback announceAll), so it must not take
-// cluster locks.
-func (c *Cluster) recordAnnouncement(a transport.Announcement) {
-	c.annMu.Lock()
-	c.announcements[a.Node] = a
-	sink := c.annSink
-	c.annMu.Unlock()
-	if sink != nil {
-		sink(a)
-	}
-}
-
 // SetAnnouncementSink registers fn to observe every announcement the
-// coordinator records — the failure detector's heartbeat feed. One sink at
+// coordinator receives — the failure detector's heartbeat feed. One sink at
 // a time; nil unregisters. The sink may be invoked from transport handler
 // goroutines and from announcement paths holding the admin lock, so it must
 // be fast and must never call back into cluster methods that take locks
@@ -150,18 +137,6 @@ func (c *Cluster) SetAnnouncementSink(fn func(transport.Announcement)) {
 	c.annMu.Lock()
 	c.annSink = fn
 	c.annMu.Unlock()
-}
-
-// Announcements returns the latest holdings announcement per node, as
-// received by the coordinator over the transport.
-func (c *Cluster) Announcements() map[partition.NodeID]transport.Announcement {
-	c.annMu.Lock()
-	defer c.annMu.Unlock()
-	out := make(map[partition.NodeID]transport.Announcement, len(c.announcements))
-	for id, a := range c.announcements {
-		out[id] = a
-	}
-	return out
 }
 
 // announceAll has every healthy non-coordinator node report its holdings

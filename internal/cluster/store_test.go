@@ -137,7 +137,7 @@ func TestOpenDiskStoreRejectsCorruption(t *testing.T) {
 		t.Error("corrupt chunk file must fail recovery loudly")
 	}
 	// Unknown array names fail too.
-	other := array.MustSchema("Other",
+	other := mustSchema("Other",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{{Name: "x", Start: 0, End: 9, ChunkInterval: 2}})
 	if _, err := OpenDiskStore(dir, lookupFor(other)); err == nil {

@@ -200,7 +200,7 @@ func TestScaleOutMeasuredWireMatchesPrediction(t *testing.T) {
 		if res.MeasuredDuration <= 0 {
 			t.Error("measured duration missing")
 		}
-		if c.Transport().Remote() {
+		if c.transport.Remote() {
 			if res.FrameBytes < res.MovedBytes {
 				t.Errorf("TCP frame bytes %d below payload volume %d", res.FrameBytes, res.MovedBytes)
 			}
@@ -355,13 +355,14 @@ func TestRecoveryDrillOverTransport(t *testing.T) {
 // coordinator's announced view matches each node's actual holdings.
 func TestAnnouncementsTrackHoldings(t *testing.T) {
 	eachClusterBackend(t, 2, 2, func(t *testing.T, c *Cluster) {
+		latest := latestAnnouncements(c)
 		if _, err := c.Insert(makeChunks(t, 24, 8, 7)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.ScaleOut(1); err != nil {
 			t.Fatal(err)
 		}
-		anns := c.Announcements()
+		anns := latest()
 		coord := c.Coordinator()
 		for _, id := range c.Nodes() {
 			if id == coord {
@@ -395,8 +396,9 @@ func TestAnnouncementsTrackHoldings(t *testing.T) {
 // configured.
 func TestDefaultClusterRunsOnLoopback(t *testing.T) {
 	c := newTestCluster(t, 3, consistentFactory)
-	if _, ok := c.Transport().(*transport.Loopback); !ok {
-		t.Fatalf("default cluster transport is %T, want *transport.Loopback", c.Transport())
+	latest := latestAnnouncements(c)
+	if _, ok := c.transport.(*transport.Loopback); !ok {
+		t.Fatalf("default cluster transport is %T, want *transport.Loopback", c.transport)
 	}
 	if c.WireReads() {
 		t.Error("an in-process cluster must not report wire reads")
@@ -410,7 +412,7 @@ func TestDefaultClusterRunsOnLoopback(t *testing.T) {
 	if _, err := c.ScaleOut(1); err != nil {
 		t.Fatal(err)
 	}
-	anns := c.Announcements()
+	anns := latest()
 	for _, id := range c.Nodes()[1:] {
 		node, _ := c.Node(id)
 		if a, ok := anns[id]; !ok || a.Chunks != int64(node.NumChunks()) {
@@ -486,7 +488,7 @@ func rawPush(t *testing.T, conn net.Conn, kind transport.BatchKind, segments ...
 // rawNodeConn dials a TCP cluster's node with a plain socket.
 func rawNodeConn(t *testing.T, c *Cluster, id partition.NodeID) net.Conn {
 	t.Helper()
-	conn, err := net.Dial("tcp", c.Transport().Addr(id))
+	conn, err := net.Dial("tcp", c.transport.Addr(id))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ var undoScenarios = []undoScenario{
 		name: "scale-out", nodes: 2,
 		kinds: []transport.BatchKind{transport.KindReplica, transport.KindRebalance},
 		setup: func(t *testing.T, c *Cluster) func() error {
-			rs := array.MustSchema("Rep",
+			rs := mustSchema("Rep",
 				[]array.Attribute{{Name: "v", Type: array.Int64}},
 				[]array.Dimension{{Name: "i", Start: 0, End: 99, ChunkInterval: 100}})
 			rep := array.NewChunk(rs, array.ChunkCoord{0})

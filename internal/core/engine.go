@@ -199,9 +199,6 @@ func (e *Engine) Close() error {
 // recommendation.
 func (e *Engine) Advisor() *advisor.Live { return e.live }
 
-// Cycle returns the number of workload cycles completed.
-func (e *Engine) Cycle() int { return e.cycle }
-
 // RunCycle executes the next workload cycle: generate the insert batch,
 // decide the scale-out (before inserting, as in Section 3.4: the database
 // first determines whether it is under-provisioned for the incoming

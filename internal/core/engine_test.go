@@ -1,10 +1,14 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/advisor"
+	"repro/internal/detector"
 	"repro/internal/provision"
+	"repro/internal/supervisor"
 	"repro/internal/workload"
 )
 
@@ -48,6 +52,55 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(g, Config{PartitionerKind: "kdtree", InitialNodes: 2, NodeCapacity: 1 << 20, FixedStep: -1}); err == nil {
 		t.Error("negative step should fail")
+	}
+}
+
+// TestEngineSupervise: Config.Supervise attaches and starts a supervisor
+// on an in-process engine. Two cycles run under it and leave the cluster
+// Validate-clean, and Close stops the heartbeat and poll loops without
+// leaving a goroutine behind.
+func TestEngineSupervise(t *testing.T) {
+	before := runtime.NumGoroutine()
+	g := modisGen(t, 2)
+	eng, err := NewEngine(g, Config{
+		PartitionerKind: "kdtree",
+		InitialNodes:    2,
+		NodeCapacity:    capacityFor(t, g, 3),
+		FixedStep:       1,
+		Supervise: &supervisor.Options{
+			HeartbeatInterval: 2 * time.Millisecond,
+			// A loaded test machine must not turn scheduling delay into
+			// a failover mid-cycle.
+			Detector: detector.Options{SuspectAfter: 5 * time.Second, DownAfter: 10 * time.Second},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.sup == nil {
+		t.Fatal("Config.Supervise attached no supervisor")
+	}
+	if err := eng.sup.Start(); err == nil {
+		t.Fatal("NewEngine attached the supervisor without starting it")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := eng.RunCycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Cluster().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before the engine, %d after Close:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

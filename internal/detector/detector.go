@@ -181,13 +181,6 @@ func (d *Detector) Watch(id partition.NodeID) {
 	}
 }
 
-// Unwatch stops tracking a node (a decommission, not a failure).
-func (d *Detector) Unwatch(id partition.NodeID) {
-	d.mu.Lock()
-	delete(d.nodes, id)
-	d.mu.Unlock()
-}
-
 // Observe feeds one heartbeat. A repeated or regressed sequence number is a
 // stale delivery — counted but not treated as a sign of life. Unknown nodes
 // are auto-watched (a scale-out's new node announces before anyone told the

@@ -178,10 +178,6 @@ func TestObserveAutoWatches(t *testing.T) {
 	if got := d.Tick(); len(got) != 1 || got[0].Node != 9 || got[0].To != Down {
 		t.Fatalf("auto-watched node not tracked: %v", got)
 	}
-	d.Unwatch(9)
-	if _, ok := d.StateOf(9); ok {
-		t.Error("unwatched node still tracked")
-	}
 }
 
 // TestAdaptiveThresholds: with interval multipliers set, a node whose beats

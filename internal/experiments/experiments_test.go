@@ -64,7 +64,13 @@ func TestTable1MatchesPaper(t *testing.T) {
 		"Incr. Quadtree": 3, "K-d Tree": 3, "Round Robin": 1, "Uniform Range": 1,
 	}
 	for _, r := range rows {
-		if got := r.Features.Count(); got != counts[r.Scheme] {
+		got := 0
+		for _, trait := range []bool{r.Features.IncrementalScaleOut, r.Features.FineGrained, r.Features.SkewAware, r.Features.NDimensionalClustering} {
+			if trait {
+				got++
+			}
+		}
+		if got != counts[r.Scheme] {
 			t.Errorf("%s has %d traits, want %d", r.Scheme, got, counts[r.Scheme])
 		}
 	}

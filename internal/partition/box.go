@@ -63,9 +63,6 @@ func (b Box) Volume() int64 {
 	return v
 }
 
-// Empty reports whether the box covers no chunk slots.
-func (b Box) Empty() bool { return b.Volume() == 0 }
-
 // SplitAt cuts the box on dim at coordinate `at` (Lo[dim] < at < Hi[dim]),
 // returning the lower half [Lo, at) and upper half [at, Hi).
 func (b Box) SplitAt(dim int, at int64) (lower, upper Box) {

@@ -53,18 +53,6 @@ type Features struct {
 	NDimensionalClustering bool
 }
 
-// Count returns how many of the four traits are set (the number of X marks
-// in the scheme's Table 1 row).
-func (f Features) Count() int {
-	n := 0
-	for _, b := range []bool{f.IncrementalScaleOut, f.FineGrained, f.SkewAware, f.NDimensionalClustering} {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // Assignment is one decision of a batch placement: a chunk and the node it
 // goes to.
 type Assignment struct {

@@ -25,16 +25,6 @@ func TestTable1Taxonomy(t *testing.T) {
 			t.Errorf("%s Features = %+v, want %+v", kind, got, feats)
 		}
 	}
-	// Trait counts as in Table 1: 2,2,3,3,3,3,1 plus the baseline's 1.
-	counts := map[string]int{
-		KindAppend: 2, KindConsistent: 2, KindExtendible: 3, KindHilbert: 3,
-		KindQuadtree: 3, KindKdTree: 3, KindRoundRobin: 1, KindUniform: 1,
-	}
-	for kind, n := range counts {
-		if got := build(t, kind, []NodeID{0, 1}).Features().Count(); got != n {
-			t.Errorf("%s trait count = %d, want %d", kind, got, n)
-		}
-	}
 }
 
 // TestAllSchemesLifecycle exercises every scheme through the paper's
@@ -223,22 +213,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(KindHilbert, []NodeID{0}, Geometry{}, Options{}); err == nil {
 		t.Error("hilbert without geometry should fail")
-	}
-}
-
-func TestIncrementalKinds(t *testing.T) {
-	got := IncrementalKinds()
-	want := map[string]bool{
-		KindAppend: true, KindConsistent: true, KindExtendible: true,
-		KindHilbert: true, KindQuadtree: true, KindKdTree: true,
-	}
-	if len(got) != len(want) {
-		t.Fatalf("IncrementalKinds = %v", got)
-	}
-	for _, k := range got {
-		if !want[k] {
-			t.Errorf("%s should not be incremental", k)
-		}
 	}
 }
 

@@ -290,20 +290,3 @@ func (p *IncrQuadtree) sortRegions() {
 		return p.regions[i].node < p.regions[j].node
 	})
 }
-
-// Regions returns a snapshot of (box, node) assignments, for tests and
-// debugging.
-func (p *IncrQuadtree) Regions() []struct {
-	Box  Box
-	Node NodeID
-} {
-	out := make([]struct {
-		Box  Box
-		Node NodeID
-	}, len(p.regions))
-	for i, r := range p.regions {
-		out[i].Box = r.box
-		out[i].Node = r.node
-	}
-	return out
-}

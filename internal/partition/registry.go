@@ -1,9 +1,6 @@
 package partition
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Options carries the per-scheme tunables. Zero values select the defaults
 // used throughout the paper's evaluation.
@@ -41,23 +38,6 @@ func Kinds() []string {
 		KindAppend, KindConsistent, KindExtendible, KindHilbert,
 		KindQuadtree, KindKdTree, KindRoundRobin, KindUniform,
 	}
-}
-
-// IncrementalKinds returns the scheme keys whose Table 1 row has the
-// incremental scale-out trait.
-func IncrementalKinds() []string {
-	var out []string
-	for _, k := range Kinds() {
-		p, err := New(k, []NodeID{0, 1}, Geometry{Extents: []int64{8, 8}}, Options{NodeCapacity: 1 << 20})
-		if err != nil {
-			continue
-		}
-		if p.Features().IncrementalScaleOut {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // New constructs the named scheme over the initial nodes. geom is required

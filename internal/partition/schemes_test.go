@@ -330,8 +330,8 @@ func TestQuadtreeRegionsPartitionGrid(t *testing.T) {
 	for x := int64(0); x < 16; x++ {
 		for y := int64(0); y < 16; y++ {
 			hits := 0
-			for _, r := range p.Regions() {
-				if r.Box.Contains(array.ChunkCoord{x, y}) {
+			for _, r := range p.regions {
+				if r.box.Contains(array.ChunkCoord{x, y}) {
 					hits++
 				}
 			}
@@ -342,8 +342,8 @@ func TestQuadtreeRegionsPartitionGrid(t *testing.T) {
 	}
 	// Every node must own at least one region.
 	owned := map[NodeID]bool{}
-	for _, r := range p.Regions() {
-		owned[r.Node] = true
+	for _, r := range p.regions {
+		owned[r.node] = true
 	}
 	for _, n := range st.Nodes() {
 		if !owned[n] {
@@ -374,12 +374,12 @@ func TestUniformRangeLeafCountAndBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumLeaves() != 64 {
-		t.Fatalf("height 6 over 16x16 should give 64 leaves, got %d", p.NumLeaves())
+	if len(p.leaves) != 64 {
+		t.Fatalf("height 6 over 16x16 should give 64 leaves, got %d", len(p.leaves))
 	}
 	// Blocks must be contiguous and monotone in traversal order.
 	prev := NodeID(0)
-	for i := 0; i < p.NumLeaves(); i++ {
+	for i := range p.leaves {
 		n := p.ownerOfLeaf(i)
 		if n < prev {
 			t.Fatalf("leaf blocks not monotone at leaf %d", i)

@@ -158,6 +158,3 @@ func (p *UniformRange) AddNodes(newNodes []NodeID, st State) ([]Move, error) {
 	sortMoves(moves)
 	return moves, nil
 }
-
-// NumLeaves reports l, for tests.
-func (p *UniformRange) NumLeaves() int { return len(p.leaves) }

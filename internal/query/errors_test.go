@@ -22,7 +22,7 @@ func tinyCluster(t *testing.T) *cluster.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := array.MustSchema("T",
+	s := mustSchema("T",
 		[]array.Attribute{{Name: "v", Type: array.Float64}, {Name: "speed", Type: array.Int32}, {Name: "heading", Type: array.Int32}},
 		[]array.Dimension{
 			{Name: "time", Start: 0, End: array.Unbounded, ChunkInterval: 10},
@@ -69,14 +69,14 @@ func TestOperatorArgumentValidation(t *testing.T) {
 	if _, err := KNN(c, "T", 0, 0, 3); err == nil {
 		t.Error("zero queries must fail")
 	}
-	if _, err := KMeans(c, "T", "v", FullRegion(mustSchema(c, "T"), 99), 1, 0); err == nil {
+	if _, err := KMeans(c, "T", "v", FullRegion(clusterSchema(c, "T"), 99), 1, 0); err == nil {
 		t.Error("zero iterations must fail")
 	}
 	if _, err := JoinReplicated(c, "T", "v", "NoDim", 0); err == nil {
 		t.Error("missing replica array must fail")
 	}
 	// 1-D arrays are rejected by the spatial operators.
-	one := array.MustSchema("One",
+	one := mustSchema("One",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{{Name: "x", Start: 0, End: 9, ChunkInterval: 2}})
 	if err := c.DefineArray(one); err != nil {
@@ -88,14 +88,11 @@ func TestOperatorArgumentValidation(t *testing.T) {
 	if _, err := KNN(c, "One", 0, 5, 3); err == nil {
 		t.Error("1-D KNN must fail")
 	}
-	if _, _, err := Regrid(c, RegridSpec{Array: "One", Attr: "v", FactorX: 2, FactorY: 2}); err == nil {
-		t.Error("1-D regrid must fail")
-	}
 }
 
 func TestKNNKLargerThanPopulation(t *testing.T) {
 	c := tinyCluster(t)
-	s := mustSchema(c, "T")
+	s := clusterSchema(c, "T")
 	ch := array.NewChunk(s, array.ChunkCoord{0, 0, 0})
 	for i := int64(0); i < 3; i++ {
 		ch.AppendCell(array.Coord{i, i, i}, []array.CellValue{{Float: 1}, {Int: 2}, {Int: 90}})
@@ -113,7 +110,7 @@ func TestKNNKLargerThanPopulation(t *testing.T) {
 	}
 }
 
-func mustSchema(c *cluster.Cluster, name string) *array.Schema {
+func clusterSchema(c *cluster.Cluster, name string) *array.Schema {
 	s, ok := c.Schema(name)
 	if !ok {
 		panic("schema " + name + " missing")

@@ -15,12 +15,15 @@ import (
 // the executor guarantees the Result is identical at every level — here
 // checked by running the same query serially and with eight workers.
 func ExampleSelectRegion() {
-	schema := array.MustSchema("Grid",
+	schema, err := array.NewSchema("Grid",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{
 			{Name: "x", Start: 0, End: 31, ChunkInterval: 4},
 			{Name: "y", Start: 0, End: 31, ChunkInterval: 4},
 		})
+	if err != nil {
+		log.Fatal(err)
+	}
 	c, err := cluster.New(cluster.Config{
 		InitialNodes: 4,
 		NodeCapacity: 1 << 20,

@@ -12,6 +12,15 @@ import (
 	"repro/internal/partition"
 )
 
+// mustSchema is array.NewSchema for fixed test literals.
+func mustSchema(name string, attrs []array.Attribute, dims []array.Dimension) *array.Schema {
+	s, err := array.NewSchema(name, attrs, dims)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // sweepLevels are the worker counts the determinism properties are checked
 // at: the serial path, a small pool, and an oversubscribed one.
 var sweepLevels = []int{1, 2, 8}
@@ -283,7 +292,7 @@ func TestSuiteRaceAgainstRebalance(t *testing.T) {
 	c.SetParallelism(8)
 	// Ballast: a side array whose chunks the rebalance rounds bounce
 	// between nodes while the suite queries Band1/Band2.
-	ballast := array.MustSchema("Ballast",
+	ballast := mustSchema("Ballast",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{
 			{Name: "time", Start: 0, End: array.Unbounded, ChunkInterval: 1},
@@ -397,9 +406,9 @@ func TestTrackerConcurrentCharges(t *testing.T) {
 	}
 	var cpu int64
 	for _, id := range nodes {
-		cpu += tr.NodeCPU(id)
+		cpu += tr.cpu[id]
 	}
 	if cpu != goroutines*perG*3 {
-		t.Errorf("summed NodeCPU = %d, want %d", cpu, goroutines*perG*3)
+		t.Errorf("summed per-node CPU = %d, want %d", cpu, goroutines*perG*3)
 	}
 }

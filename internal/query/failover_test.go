@@ -28,7 +28,7 @@ func replicatedCluster(t *testing.T, nodes, replication int) *cluster.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := array.MustSchema("T",
+	s := mustSchema("T",
 		[]array.Attribute{{Name: "v", Type: array.Float64}, {Name: "speed", Type: array.Int32}, {Name: "heading", Type: array.Int32}},
 		[]array.Dimension{
 			{Name: "time", Start: 0, End: array.Unbounded, ChunkInterval: 10},
@@ -82,7 +82,7 @@ func failoverVictim(t *testing.T, c *cluster.Cluster) partition.NodeID {
 // array and returns the (Cells, Value) pairs in a fixed order.
 func operatorBattery(t *testing.T, c *cluster.Cluster) []Result {
 	t.Helper()
-	s := mustSchema(c, "T")
+	s := clusterSchema(c, "T")
 	run := func(name string, r Result, err error) Result {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -180,7 +180,7 @@ func TestUnreplicatedFailureReturnsPartialResult(t *testing.T) {
 	}
 	sort.Strings(want)
 
-	s := mustSchema(c, "T")
+	s := clusterSchema(c, "T")
 	ops := []struct {
 		name string
 		run  func() error

@@ -102,13 +102,6 @@ func (t *Tracker) BytesScanned() int64 {
 	return total
 }
 
-// NodeCPU returns the cells charged to the node so far.
-func (t *Tracker) NodeCPU(node partition.NodeID) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cpu[node]
-}
-
 // Elapsed folds the account into simulated time: nodes work in parallel
 // (the slowest one gates the operator), the network is charged serially,
 // and every operator pays the fixed coordination overhead.

@@ -18,7 +18,7 @@ func BenchmarkOwner(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = r.Owner(keys[i%len(keys)])
+		_ = owner(r, keys[i%len(keys)])
 	}
 }
 

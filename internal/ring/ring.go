@@ -12,7 +12,7 @@ import (
 	"sort"
 )
 
-// Ring is a consistent-hash circle mapping string keys to integer node IDs.
+// Ring is a consistent-hash circle mapping hashed keys to integer node IDs.
 // The zero value is not usable; construct with New. Ring is not safe for
 // concurrent mutation.
 type Ring struct {
@@ -62,22 +62,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Len returns the number of distinct nodes on the ring.
-func (r *Ring) Len() int { return len(r.nodes) }
-
-// Nodes returns the node IDs on the ring in ascending order.
-func (r *Ring) Nodes() []int {
-	out := make([]int, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Has reports whether the node is on the ring.
-func (r *Ring) Has(node int) bool { return r.nodes[node] }
-
 // Add places a node (at its virtual positions) on the ring. Adding an
 // existing node is an error.
 func (r *Ring) Add(node int) error {
@@ -98,35 +82,14 @@ func (r *Ring) Add(node int) error {
 	return nil
 }
 
-// Remove deletes a node and all its virtual positions.
-func (r *Ring) Remove(node int) error {
-	if !r.nodes[node] {
-		return fmt.Errorf("ring: node %d not present", node)
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	return nil
-}
-
-// Owner returns the node that owns the key: the first virtual position at
-// or clockwise after the key's hash. It panics on an empty ring.
-func (r *Ring) Owner(key string) int {
-	return r.OwnerHash(hashKey(key))
-}
-
-// OwnerHash returns the node owning a pre-hashed position on the circle —
-// the allocation-free lookup for callers that hash fixed-size keys
-// themselves. h must be well dispersed (already mixed); it is used as the
-// circle position directly. It panics on an empty ring.
+// OwnerHash returns the node owning a pre-hashed position on the circle:
+// the first virtual position at or clockwise after h. Callers hash their
+// keys themselves, allocation-free; h must be well dispersed (already
+// mixed), as it is used as the circle position directly. It panics on an
+// empty ring.
 func (r *Ring) OwnerHash(h uint64) int {
 	if len(r.points) == 0 {
-		panic("ring: Owner on empty ring")
+		panic("ring: OwnerHash on empty ring")
 	}
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {

@@ -15,7 +15,11 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestAddRemoveHas(t *testing.T) {
+// owner is the string-keyed lookup the tests use: the key's hash as the
+// circle position.
+func owner(r *Ring, key string) int { return r.OwnerHash(hashKey(key)) }
+
+func TestAddRejectsDuplicate(t *testing.T) {
 	r := MustNew(16)
 	if err := r.Add(1); err != nil {
 		t.Fatal(err)
@@ -23,17 +27,8 @@ func TestAddRemoveHas(t *testing.T) {
 	if err := r.Add(1); err == nil {
 		t.Error("duplicate Add should fail")
 	}
-	if !r.Has(1) || r.Has(2) {
-		t.Error("Has misreports")
-	}
-	if err := r.Remove(2); err == nil {
-		t.Error("removing absent node should fail")
-	}
-	if err := r.Remove(1); err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 0 {
-		t.Errorf("Len = %d after remove, want 0", r.Len())
+	if len(r.nodes) != 1 || len(r.points) != 16 {
+		t.Errorf("ring holds %d nodes at %d positions, want 1 at 16", len(r.nodes), len(r.points))
 	}
 }
 
@@ -46,7 +41,7 @@ func TestOwnerDeterministic(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("chunk-%d", i)
-		a, b := r.Owner(key), r.Owner(key)
+		a, b := owner(r, key), owner(r, key)
 		if a != b {
 			t.Fatalf("Owner(%q) unstable: %d vs %d", key, a, b)
 		}
@@ -57,10 +52,10 @@ func TestOwnerEmptyPanics(t *testing.T) {
 	r := MustNew(4)
 	defer func() {
 		if recover() == nil {
-			t.Error("Owner on empty ring should panic")
+			t.Error("OwnerHash on empty ring should panic")
 		}
 	}()
-	r.Owner("k")
+	r.OwnerHash(0)
 }
 
 func TestBalanceWithVirtualNodes(t *testing.T) {
@@ -74,7 +69,7 @@ func TestBalanceWithVirtualNodes(t *testing.T) {
 	counts := make([]int, nodes)
 	const keys = 8000
 	for i := 0; i < keys; i++ {
-		counts[r.Owner(fmt.Sprintf("key-%d", i))]++
+		counts[owner(r, fmt.Sprintf("key-%d", i))]++
 	}
 	for n, c := range counts {
 		frac := float64(c) / keys
@@ -96,14 +91,14 @@ func TestIncrementalityOnAdd(t *testing.T) {
 	const keys = 2000
 	before := make([]int, keys)
 	for i := range before {
-		before[i] = r.Owner(fmt.Sprintf("key-%d", i))
+		before[i] = owner(r, fmt.Sprintf("key-%d", i))
 	}
 	if err := r.Add(4); err != nil {
 		t.Fatal(err)
 	}
 	moved := 0
 	for i := range before {
-		after := r.Owner(fmt.Sprintf("key-%d", i))
+		after := owner(r, fmt.Sprintf("key-%d", i))
 		if after != before[i] {
 			if after != 4 {
 				t.Fatalf("key-%d moved %d -> %d (not the new node)", i, before[i], after)
@@ -117,48 +112,6 @@ func TestIncrementalityOnAdd(t *testing.T) {
 	}
 }
 
-func TestRemovalOnlyMovesOrphans(t *testing.T) {
-	r := MustNew(64)
-	for n := 0; n < 5; n++ {
-		if err := r.Add(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const keys = 1000
-	before := make([]int, keys)
-	for i := range before {
-		before[i] = r.Owner(fmt.Sprintf("key-%d", i))
-	}
-	if err := r.Remove(2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range before {
-		after := r.Owner(fmt.Sprintf("key-%d", i))
-		if before[i] != 2 && after != before[i] {
-			t.Fatalf("key-%d moved %d -> %d though its owner remained", i, before[i], after)
-		}
-		if after == 2 {
-			t.Fatalf("key-%d still owned by removed node", i)
-		}
-	}
-}
-
-func TestNodesSorted(t *testing.T) {
-	r := MustNew(8)
-	for _, n := range []int{5, 1, 3} {
-		if err := r.Add(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := r.Nodes()
-	want := []int{1, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Nodes() = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestOwnerAlwaysAMember(t *testing.T) {
 	r := MustNew(16)
 	for n := 0; n < 3; n++ {
@@ -167,7 +120,7 @@ func TestOwnerAlwaysAMember(t *testing.T) {
 		}
 	}
 	f := func(key string) bool {
-		o := r.Owner(key)
+		o := owner(r, key)
 		return o >= 0 && o < 3
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -3,7 +3,7 @@ package sfc
 import "testing"
 
 func BenchmarkIndex2D(b *testing.B) {
-	c := MustCurve(2, 10)
+	c := mustCurve(2, 10)
 	coords := []uint64{513, 740}
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Index(coords); err != nil {
@@ -13,7 +13,7 @@ func BenchmarkIndex2D(b *testing.B) {
 }
 
 func BenchmarkIndex3D(b *testing.B) {
-	c := MustCurve(3, 10)
+	c := mustCurve(3, 10)
 	coords := []uint64{513, 740, 12}
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Index(coords); err != nil {
@@ -23,16 +23,16 @@ func BenchmarkIndex3D(b *testing.B) {
 }
 
 func BenchmarkCoords2D(b *testing.B) {
-	c := MustCurve(2, 10)
+	c := mustCurve(2, 10)
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Coords(uint64(i) % c.Size()); err != nil {
+		if _, err := c.coords(uint64(i) % c.Size()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkRectRank(b *testing.B) {
-	r := MustRectOrder([]int64{29, 23})
+	r := mustRectOrder([]int64{29, 23})
 	coords := []int64{17, 11}
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Rank(coords); err != nil {

@@ -39,15 +39,6 @@ func NewCurve(dims int, bits uint) (*Curve, error) {
 	return &Curve{dims: dims, bits: bits}, nil
 }
 
-// MustCurve is NewCurve that panics on error.
-func MustCurve(dims int, bits uint) *Curve {
-	c, err := NewCurve(dims, bits)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Size returns the number of points on the curve (2^(dims*bits)).
 func (c *Curve) Size() uint64 { return 1 << (uint(c.dims) * c.bits) }
 
@@ -69,16 +60,6 @@ func (c *Curve) Index(coords []uint64) (uint64, error) {
 	return c.transposeToIndex(x), nil
 }
 
-// Coords returns the coordinate at Hilbert index h (the inverse of Index).
-func (c *Curve) Coords(h uint64) ([]uint64, error) {
-	if h >= c.Size() {
-		return nil, fmt.Errorf("sfc: index %d outside curve of size %d", h, c.Size())
-	}
-	x := c.indexToTranspose(h)
-	transposeToAxes(x, c.bits)
-	return x, nil
-}
-
 // transposeToIndex interleaves the transpose representation into a single
 // integer: bit (bits-1) of x[0] is the most significant bit of the index,
 // followed by bit (bits-1) of x[1], and so on.
@@ -90,19 +71,6 @@ func (c *Curve) transposeToIndex(x []uint64) uint64 {
 		}
 	}
 	return h
-}
-
-// indexToTranspose is the inverse of transposeToIndex.
-func (c *Curve) indexToTranspose(h uint64) []uint64 {
-	x := make([]uint64, c.dims)
-	pos := int(c.bits)*c.dims - 1
-	for b := int(c.bits) - 1; b >= 0; b-- {
-		for i := 0; i < c.dims; i++ {
-			x[i] |= ((h >> uint(pos)) & 1) << uint(b)
-			pos--
-		}
-	}
-	return x
 }
 
 // axesToTranspose converts cartesian coordinates (b bits each) into the
@@ -136,31 +104,5 @@ func axesToTranspose(x []uint64, bits uint) {
 	}
 	for i := 0; i < n; i++ {
 		x[i] ^= t
-	}
-}
-
-// transposeToAxes is the inverse of axesToTranspose (Skilling's
-// "TransposetoAxes").
-func transposeToAxes(x []uint64, bits uint) {
-	n := len(x)
-	m := uint64(2) << (bits - 1)
-	// Gray decode by H ^ (H/2).
-	t := x[n-1] >> 1
-	for i := n - 1; i > 0; i-- {
-		x[i] ^= x[i-1]
-	}
-	x[0] ^= t
-	// Undo excess work.
-	for q := uint64(2); q != m; q <<= 1 {
-		p := q - 1
-		for i := n - 1; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
-		}
 	}
 }

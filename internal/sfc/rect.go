@@ -45,18 +45,6 @@ func NewRectOrder(extents []int64) (*RectOrder, error) {
 	return &RectOrder{curve: c, extents: append([]int64(nil), extents...)}, nil
 }
 
-// MustRectOrder is NewRectOrder that panics on error.
-func MustRectOrder(extents []int64) *RectOrder {
-	r, err := NewRectOrder(extents)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Extents returns a copy of the rectangle's per-dimension extents.
-func (r *RectOrder) Extents() []int64 { return append([]int64(nil), r.extents...) }
-
 // Contains reports whether the coordinate lies inside the rectangle.
 func (r *RectOrder) Contains(coords []int64) bool {
 	if len(coords) != len(r.extents) {

@@ -75,50 +75,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Accumulator tracks count, mean and variance online (Welford) without
-// retaining samples; used for per-node storage accounting.
-type Accumulator struct {
-	n    int
-	mean float64
-	m2   float64
-	sum  float64
-}
-
-// Add folds one observation into the accumulator.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	a.sum += x
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
-// Sum returns the running total.
-func (a *Accumulator) Sum() float64 { return a.sum }
-
-// Mean returns the running mean, or 0 before any observation.
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// StdDev returns the running population standard deviation.
-func (a *Accumulator) StdDev() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return math.Sqrt(a.m2 / float64(a.n))
-}
-
-// RSD returns the running relative standard deviation, or 0 when the mean
-// is zero.
-func (a *Accumulator) RSD() float64 {
-	if a.mean == 0 {
-		return 0
-	}
-	return a.StdDev() / a.mean
-}
-
 // Zipf samples ranks 0..n-1 with probability proportional to
 // 1/(rank+1)^s — the power-law distribution the paper invokes (Zipf's law,
 // [33]) to describe ship congregation around ports. Unlike math/rand.Zipf
@@ -161,18 +117,4 @@ func MustZipf(rng *rand.Rand, n int, s float64) *Zipf {
 func (z *Zipf) Next() int {
 	u := z.rng.Float64()
 	return sort.SearchFloat64s(z.cdf, u)
-}
-
-// TopShare returns the fraction of probability mass carried by the top
-// `frac` share of ranks — e.g. TopShare(0.05) answers "what share of the
-// data lands in the hottest 5% of chunks", the skew statistic in §3.2.
-func (z *Zipf) TopShare(frac float64) float64 {
-	k := int(math.Ceil(frac * float64(len(z.cdf))))
-	if k <= 0 {
-		return 0
-	}
-	if k >= len(z.cdf) {
-		return 1
-	}
-	return z.cdf[k-1]
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -83,35 +82,6 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMatchesBatch(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		var acc Accumulator
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-			acc.Add(xs[i])
-		}
-		return acc.N() == len(xs) &&
-			almost(acc.Mean(), Mean(xs), 1e-6) &&
-			almost(acc.StdDev(), StdDev(xs), 1e-6) &&
-			almost(acc.RSD(), RSD(xs), 1e-6) &&
-			almost(acc.Sum(), Mean(xs)*float64(len(xs)), 1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAccumulatorZero(t *testing.T) {
-	var a Accumulator
-	if a.Mean() != 0 || a.StdDev() != 0 || a.RSD() != 0 || a.N() != 0 {
-		t.Error("zero accumulator should report zeros")
-	}
-}
-
 func TestZipfValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := NewZipf(rng, 0, 1); err == nil {
@@ -147,24 +117,6 @@ func TestZipfInRangeAndSkewed(t *testing.T) {
 	}
 	if float64(top)/draws < 0.30 {
 		t.Errorf("top 5%% of ranks hold %.2f of mass; expected heavy skew", float64(top)/draws)
-	}
-}
-
-func TestZipfTopShare(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	z := MustZipf(rng, 1000, 1.4)
-	s5 := z.TopShare(0.05)
-	if s5 < 0.5 {
-		t.Errorf("TopShare(0.05) = %.2f; exponent 1.4 should concentrate > 50%%", s5)
-	}
-	if z.TopShare(1.0) != 1 {
-		t.Error("TopShare(1) must be 1")
-	}
-	if z.TopShare(0) != 0 {
-		t.Error("TopShare(0) must be 0")
-	}
-	if z.TopShare(0.05) >= z.TopShare(0.5) {
-		t.Error("TopShare must be monotone")
 	}
 }
 

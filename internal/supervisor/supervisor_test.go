@@ -15,12 +15,16 @@ import (
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func testSchema() *array.Schema {
-	return array.MustSchema("A",
+	s, err := array.NewSchema("A",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{
 			{Name: "x", Start: 0, End: 63, ChunkInterval: 4},
 			{Name: "y", Start: 0, End: 63, ChunkInterval: 4},
 		})
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 func makeChunks(t testing.TB, n, cells int, seed int64) []*array.Chunk {
@@ -344,7 +348,7 @@ func TestSupervisorAcceptsDefaultCluster(t *testing.T) {
 		t.Fatalf("HeartbeatNow sent %d, want 2", sent)
 	}
 	s.Poll()
-	status := s.Detector().Status()
+	status := s.det.Status()
 	if len(status) != 2 {
 		t.Fatalf("detector watches %d nodes, want 2", len(status))
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // FaultTransport wraps any Transport with programmable network faults —
-// the wire-level mirror of the store layer's FaultStore: injectable
+// the wire-level mirror of the cluster tests' FaultStore: injectable
 // latency on every verb, connection drops before delivery (the push never
 // reaches the remote handler, so a retry is always safe), and partial
 // writes (the stream is cut mid-batch, the receiver decodes a torn frame

@@ -23,9 +23,9 @@
 //     stream — so a migration's peak memory is O(one chunk) per side,
 //     never the batch.
 //
-// Fault injection mirrors the store layer's FaultStore: wrap any backend
-// in a FaultTransport to inject latency, connection drops and truncated
-// (partial) writes, every synthetic failure wrapping ErrInjected.
+// Fault injection mirrors the cluster tests' store-level FaultStore: wrap
+// any backend in a FaultTransport to inject latency, connection drops and
+// truncated (partial) writes, every synthetic failure wrapping ErrInjected.
 //
 // # Error model
 //
@@ -149,7 +149,7 @@ type Stats struct {
 }
 
 // ErrInjected is the sentinel wrapped by every failure a FaultTransport
-// (or the store layer's FaultStore, which aliases it) injects, so tests
+// (or the cluster tests' FaultStore, which aliases it) injects, so tests
 // can assert a fault was synthetic rather than a real defect. Match with
 // errors.Is.
 var ErrInjected = errors.New("injected store fault")

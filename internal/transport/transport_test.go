@@ -13,10 +13,19 @@ import (
 	"repro/internal/partition"
 )
 
+// mustSchema is array.NewSchema for fixed test literals.
+func mustSchema(name string, attrs []array.Attribute, dims []array.Dimension) *array.Schema {
+	s, err := array.NewSchema(name, attrs, dims)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // testSchema mirrors the array package's test fixture: a small 2-D array
 // with one attribute per cell, enough to exercise framing without bulk.
 func testSchema(name string) *array.Schema {
-	return array.MustSchema(name,
+	return mustSchema(name,
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{
 			{Name: "x", Start: 0, End: 499, ChunkInterval: 5},
@@ -352,7 +361,7 @@ func TestConcurrentPushes(t *testing.T) {
 // marker.
 func TestTCPStreamingLargeBatch(t *testing.T) {
 	const segment = 32 << 10
-	s := array.MustSchema("Big",
+	s := mustSchema("Big",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},
 		[]array.Dimension{
 			{Name: "x", Start: 0, End: 255, ChunkInterval: 64},

@@ -155,13 +155,6 @@ func (a *AIS) Geometry() partition.Geometry {
 	}
 }
 
-// Ports exposes the hot chunk columns, which the benchmarks target (the
-// paper's selection query filters "a densely trafficked area around the
-// port of Houston").
-func (a *AIS) Ports() [][2]int64 {
-	return append([][2]int64(nil), a.ports...)
-}
-
 // SeasonalFactor scales cycle volume: commercial shipping peaks around the
 // holidays (paper §3.4), modelled as a sinusoid with a December bump.
 func (a *AIS) SeasonalFactor(cycle int) float64 {

@@ -286,7 +286,7 @@ func TestAISPortsAreHot(t *testing.T) {
 		t.Fatal(err)
 	}
 	portSet := map[string]bool{}
-	for _, p := range a.Ports() {
+	for _, p := range a.ports {
 		portSet[array.ChunkCoord{0, p[0], p[1]}.Key()] = true
 	}
 	var portBytes, allBytes int64
