@@ -411,42 +411,46 @@ func (c *Cluster) RSD() float64 { return stats.RSD(c.Loads()) }
 // vessel array pattern: small dimension tables replicated for local
 // joins); a Down node is backfilled when RecoverNode readmits it. The
 // chunks are registered so scale-out and recovery know the authoritative
-// replica set. The charge is one network broadcast of the payload to each
-// non-coordinator node.
+// replica set, and ship from the coordinator through the one replica path.
+// The call is all-or-nothing: a chunk already replicated (or named twice)
+// or a push that fails for good leaves nothing behind. The charge is one
+// network broadcast of the payload to each non-coordinator node.
 func (c *Cluster) ReplicateArray(s *array.Schema, chunks []*array.Chunk) (Duration, error) {
 	c.admin.Lock()
 	defer c.admin.Unlock()
+	var undo undoLog
 	if _, ok := c.schemas[s.Name]; !ok {
 		if err := c.defineArrayLocked(s); err != nil {
 			return 0, err
 		}
+		undo.push(func() {
+			c.schemaMu.Lock()
+			delete(c.schemas, s.Name)
+			c.schemaMu.Unlock()
+		})
 	}
+	registered := len(c.repChunks)
+	undo.push(func() {
+		for _, ch := range c.repChunks[registered:] {
+			delete(c.repKeys, ch.Key())
+		}
+		c.repChunks = c.repChunks[:registered]
+	})
 	var bytes int64
 	for _, ch := range chunks {
 		if c.repKeys[ch.Key()] {
+			undo.unwind()
 			return 0, fmt.Errorf("cluster: chunk %s already replicated", ch.Ref())
 		}
 		bytes += ch.SizeBytes()
-		for _, id := range c.order {
-			if c.nodes[id].Health() == NodeDown {
-				continue
-			}
-			c.nodes[id].putReplica(ch)
-		}
 		c.repChunks = append(c.repChunks, ch)
 		c.repKeys[ch.Key()] = true
 	}
-	return c.cost.NetTime(bytes * int64(len(c.order)-1)), nil
-}
-
-// replicatedBytes returns the payload of the fully replicated arrays —
-// what every healthy node holds a copy of. Caller holds admin exclusive.
-func (c *Cluster) replicatedBytes() int64 {
-	var total int64
-	for _, rep := range c.repChunks {
-		total += rep.SizeBytes()
+	if _, err := c.shipReplicas(c.replicatedGaps(), &undo); err != nil {
+		undo.unwind()
+		return 0, err
 	}
-	return total
+	return c.cost.NetTime(bytes * int64(len(c.order)-1)), nil
 }
 
 // --- scale-out -------------------------------------------------------------
@@ -626,7 +630,10 @@ func (c *Cluster) validateReplicas() error {
 	}
 	// Per-node replica accounting: the full replicated-array set plus the
 	// assigned secondaries, and nothing else.
-	repArrayBytes := c.replicatedBytes()
+	var repArrayBytes int64
+	for _, rep := range c.repChunks {
+		repArrayBytes += rep.SizeBytes()
+	}
 	for _, id := range c.order {
 		node := c.nodes[id]
 		if node.Health() == NodeDown {

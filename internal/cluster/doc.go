@@ -52,12 +52,18 @@
 // Every inter-node movement — ingest writes, rebalance receiver batches,
 // secondary copies, recovery fills, readmission repairs — is a push over
 // the cluster's transport.Transport, received by the destination node's
-// receiver-atomic transport.Handler (service.go). There is no second,
-// transport-free implementation: Config.Transport == nil means "in
-// process", which New spells transport.NewLoopback() — delivery by
-// pointer, nothing encoded — so Close ends any cluster. Atomicity has one
-// mechanism too: ExecutePlan, ExecuteRebalance (whichever producer planned
-// it) and RecoverNode log the inverse of each committed step on an undoLog
+// receiver-atomic transport.Handler (service.go). Config.Transport == nil
+// means "in process", which New spells transport.NewLoopback() — delivery
+// by pointer, nothing encoded — so Close ends any cluster. Every new
+// replica copy (ingest secondaries, recovery fills, readmission re-spread
+// and backfill, ReplicateArray, replicated arrays on added nodes) goes
+// through shipReplicas (undo.go): one KindReplica batch per (source,
+// destination) pair. The one in-place exception is fixupMovedReplicas,
+// which re-derives moved chunks' secondaries after a rebalance commits;
+// shipping those over TCP was measured slower with no accounting gain
+// (see its comment). Atomicity has one mechanism too: ExecutePlan,
+// ExecuteRebalance (whichever producer planned it), ReplicateArray and
+// RecoverNode log the inverse of each committed step on an undoLog
 // (undo.go) and unwind it newest-first on failure.
 //
 // # The placement change feed

@@ -113,9 +113,8 @@ func (c *Cluster) RecoverNode(id partition.NodeID) (Duration, error) {
 		}
 		stale = append(stale, ch)
 	}
-	// Drop replica payloads the node is no longer responsible for, and
-	// backfill the replicated arrays it missed.
-	var dropped, backfilled []*array.Chunk
+	// Drop replica payloads the node is no longer responsible for.
+	var dropped []*array.Chunk
 	for _, rep := range node.Replicas() {
 		key := rep.Key()
 		if c.repKeys[key] || slices.Contains(c.owner.Replicas(key), id) {
@@ -124,38 +123,25 @@ func (c *Cluster) RecoverNode(id partition.NodeID) (Duration, error) {
 		node.takeReplica(key)
 		dropped = append(dropped, rep)
 	}
-	var backfill int64
-	for _, rep := range c.repChunks {
-		if _, ok := node.Replica(rep.Ref()); ok {
-			continue
-		}
-		node.putReplica(rep)
-		backfilled = append(backfilled, rep)
-		backfill += rep.SizeBytes()
-	}
 	events := c.residentEvents(node, PlacementAdd)
 	node.setHealth(NodeHealthy)
 	c.downCount.Add(-1)
 	undo.push(func() {
 		node.setHealth(NodeDown)
 		c.downCount.Add(1)
-		for _, rep := range backfilled {
-			node.takeReplica(rep.Key())
-		}
 		for _, rep := range dropped {
 			node.putReplica(rep)
 		}
 	})
-	// Restore the canonical replica spread now that the node is back.
-	// This repairs two deficits in one sorted pass: primaries the clamped
+	// Backfill the replicated arrays the node missed, and restore the
+	// canonical replica spread now that the node is back. The spread
+	// repairs two deficits in one sorted pass: primaries the clamped
 	// degraded recovery left short of secondaries (requiredSecondaries
 	// widens again), and the rejoined node's own share — rendezvous
 	// hashing makes it the canonical holder of part of the secondary set,
 	// and without reassignment here it would hold none until some later
-	// rebalance. For each primary the canonical holder set is recomputed
-	// over the healthy nodes; missing copies are delivered, holders no
-	// longer canonical drop theirs, and the catalog takes the canonical
-	// set.
+	// rebalance. Everything ships in one shipReplicas call.
+	copies := c.replicatedGaps()
 	if want := c.requiredSecondaries(); want > 0 {
 		healthy := c.HealthyNodes()
 		var refs []array.ChunkRef
@@ -165,51 +151,22 @@ func (c *Cluster) RecoverNode(id partition.NodeID) (Duration, error) {
 		sort.Slice(refs, func(i, j int) bool { return refs[i].Packed().Less(refs[j].Packed()) })
 		for _, ref := range refs {
 			key := ref.Packed()
-			if c.repKeys[key] {
-				continue // replicated arrays are restored by the backfill above
-			}
 			owner, ok := c.owner.Get(key)
-			if !ok || c.nodes[owner].Health() == NodeDown {
+			if !ok || c.repKeys[key] || c.nodes[owner].Health() == NodeDown {
 				continue
 			}
 			primary, _ := c.nodes[owner].Chunk(ref)
 			if primary == nil {
 				continue // reserved by an outstanding ingest plan; nothing to copy yet
 			}
-			// held: recorded secondaries that actually hold a copy on a
-			// reachable node.
-			recorded := c.owner.Replicas(key)
-			var held []partition.NodeID
-			for _, h := range recorded {
-				if holder, ok := c.nodes[h]; ok && holder.Health() != NodeDown {
-					if _, ok := holder.Replica(ref); ok {
-						held = append(held, h)
-					}
-				}
-			}
-			canonical := partition.ReplicaNodes(key, owner, healthy, nil, want)
-			for _, n := range canonical {
-				if slices.Contains(held, n) {
-					continue
-				}
-				if _, err := c.pushReplicas(owner, n, []*array.Chunk{primary}, &undo); err != nil {
-					undo.unwind()
-					return 0, fmt.Errorf("cluster: RecoverNode(%d): re-replicating %s: %w", id, ref, err)
-				}
-				backfill += primary.SizeBytes()
-			}
-			for _, h := range held {
-				if slices.Contains(canonical, h) {
-					continue
-				}
-				if rep, ok := c.nodes[h].takeReplica(key); ok {
-					undo.push(func() { c.nodes[h].putReplica(rep) })
-				}
-			}
-			c.owner.SetReplicas(key, canonical)
-			undo.push(func() { c.owner.SetReplicas(key, recorded) })
+			copies = append(copies, c.respread(primary, owner, healthy, want, &undo)...)
 		}
 	}
+	if _, err := c.shipReplicas(copies, &undo); err != nil {
+		undo.unwind()
+		return 0, fmt.Errorf("cluster: RecoverNode(%d): re-replication: %w", id, err)
+	}
+	backfill := foldCopies(map[partition.NodeID]int64{}, copies)
 	c.epoch.Add(1)
 	c.publishPlacement(events)
 	c.announceAll()

@@ -357,25 +357,19 @@ func (c *Cluster) writePlanTransport(plan *IngestPlan, undo *undoLog) error {
 	return nil
 }
 
-// pushPlanReplicas ships an ingest plan's secondary copies as one
-// KindReplica batch per replica destination. The catalog's replica sets
-// commit only after every push lands.
+// pushPlanReplicas ships an ingest plan's secondary copies from the
+// coordinator, one KindReplica batch per replica destination. The
+// catalog's replica sets commit only after every batch lands.
 func (c *Cluster) pushPlanReplicas(plan *IngestPlan, undo *undoLog) error {
 	coord := c.Coordinator()
-	byDest := make(map[partition.NodeID][]*array.Chunk)
-	var destOrder []partition.NodeID
+	var copies []replicaCopy
 	for i, ch := range plan.chunks {
 		for _, r := range plan.repDests[i] {
-			if _, seen := byDest[r]; !seen {
-				destOrder = append(destOrder, r)
-			}
-			byDest[r] = append(byDest[r], ch)
+			copies = append(copies, replicaCopy{coord, r, ch})
 		}
 	}
-	for _, id := range destOrder {
-		if _, err := c.pushReplicas(coord, id, byDest[id], undo); err != nil {
-			return fmt.Errorf("cluster: replica batch for node %d: %w", id, err)
-		}
+	if _, err := c.shipReplicas(copies, undo); err != nil {
+		return err
 	}
 	for i, ch := range plan.chunks {
 		c.owner.SetReplicas(ch.Key(), plan.repDests[i])

